@@ -34,7 +34,7 @@ experiment index.
 
 from typing import TYPE_CHECKING
 
-__version__ = "0.1.0"
+__version__ = "0.3.0"
 
 #: Exported name -> defining module. The single source of truth for
 #: the top-level surface; ``__getattr__`` resolves through it on first

@@ -41,15 +41,15 @@ bit-identical reports on every backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional
 
 from repro.chaos.plan import FaultPlan
 from repro.chaos.profiles import FaultProfile, resolve_profile
 from repro.config import BaseReport
 from repro.errors import TraceError
 from repro.exec.batch import (
-    BatchEntry, RunRecord, TraceBatch, decode_batch, encode_batch,
+    BatchEntry, ShardResult, TraceBatch, decode_batch, encode_batch,
 )
 from repro.exec.plan import PlannedRun, RoundPlan
 from repro.obs import Instrumented, get_registry
@@ -113,12 +113,6 @@ class ChaosCoordinator(Instrumented):
         self._tracer = get_tracer()
         self.rounds: List[ChaosRoundStats] = []
         self._current: Optional[ChaosRoundStats] = None
-        # Solver-cache deltas ride the coordinator channel (like spans
-        # and counters), not the faulted uplink: a virtual worker's
-        # death loses its records and traces, never its cache export.
-        # Keeping the delta set plan-determined is what makes collective
-        # recycling bit-identical across backends under chaos.
-        self._cache_deltas: List[list] = []
         self._obs_worker_deaths = self.obs_counter("worker_deaths")
         self._obs_runs_recovered = self.obs_counter("runs_recovered")
         self._obs_runs_lost = self.obs_counter("runs_lost")
@@ -137,38 +131,37 @@ class ChaosCoordinator(Instrumented):
     # -- execution: worker death + crash-tolerant retry waves -----------------
 
     def execute_round(self, backend, plan: RoundPlan,
-                      ) -> Tuple[List[RunRecord], List[BatchEntry]]:
+                      ) -> List[ShardResult]:
         """Run ``plan`` on ``backend`` under worker-death faults.
 
-        Returns the surviving run records and batch entries; both lists
-        cover every planned run except the (rare) permanently lost
-        ones, each global index at most once.
+        Returns the shard results of the initial dispatch and of every
+        retry wave, in dispatch order, with the records and batch
+        entries of dead runs stripped: every planned run except the
+        (rare) permanently lost ones appears exactly once. Cache deltas
+        survive untouched — even from waves whose results died — since
+        they ride the (reliable) coordinator channel, not the worker's
+        report; keeping the delta set plan-determined is what makes
+        collective recycling bit-identical across backends under chaos.
         """
         stats = ChaosRoundStats(round_index=plan.round_index)
         self._current = stats
         results = backend.run_round(plan)
-        for result in results:
-            if result.cache_delta:
-                self._cache_deltas.append(result.cache_delta)
         dead = set(self.plan.dead_virtual_shards(plan.round_index))
-        workers = self.profile.virtual_workers
-
-        def lost(pod_index: int) -> bool:
-            return pod_index % workers in dead
-
-        pod_of = {run.global_index: run.pod_index for run in plan.runs}
-        records: List[RunRecord] = []
-        entries: List[BatchEntry] = []
-        for result in results:
-            for record in result.records:
-                if not lost(pod_of[record.global_index]):
-                    records.append(record)
-            for batch in result.batches:
-                for entry in batch.entries:
-                    if not lost(pod_of[entry.global_index]):
-                        entries.append(entry)
         if not dead:
-            return records, entries
+            return results
+        workers = self.profile.virtual_workers
+        pod_of = {run.global_index: run.pod_index for run in plan.runs}
+
+        def alive(item) -> bool:
+            return pod_of[item.global_index] % workers not in dead
+
+        results = [replace(
+            result,
+            records=[record for record in result.records if alive(record)],
+            batches=[replace(batch, entries=[entry for entry in batch.entries
+                                             if alive(entry)])
+                     for batch in result.batches])
+            for result in results]
 
         stats.worker_deaths = len(dead)
         self._obs_worker_deaths.inc(len(dead))
@@ -176,7 +169,7 @@ class ChaosCoordinator(Instrumented):
                            round=plan.round_index,
                            virtual_shards=sorted(dead))
         pending: List[PlannedRun] = [run for run in plan.runs
-                                     if lost(run.pod_index)]
+                                     if not alive(run)]
         attempt = 0
         while pending and attempt < self.profile.max_retries:
             attempt += 1
@@ -196,20 +189,16 @@ class ChaosCoordinator(Instrumented):
                     round_index=plan.round_index,
                     hive_version=plan.hive_version,
                     runs=pending))
-                for result in wave:
-                    if result.cache_delta:
-                        self._cache_deltas.append(result.cache_delta)
                 if self.plan.retry_wave_dies(plan.round_index, attempt):
                     # The replacement worker executed the runs, then
                     # died before reporting — the pods' RNG streams
                     # advanced, the results are gone. Next wave starts
                     # over.
                     wave_span.set(died=True)
+                    results.extend(replace(result, records=[], batches=[])
+                                   for result in wave)
                     continue
-            for result in wave:
-                records.extend(result.records)
-                for batch in result.batches:
-                    entries.extend(batch.entries)
+            results.extend(wave)
             stats.runs_recovered += len(pending)
             self._obs_runs_recovered.inc(len(pending))
             pending = []
@@ -220,19 +209,7 @@ class ChaosCoordinator(Instrumented):
             self._tracer.event("chaos.runs_lost",
                                round=plan.round_index,
                                runs=len(pending))
-        return records, entries
-
-    def take_cache_deltas(self) -> List[list]:
-        """Drain the solver-cache deltas collected so far.
-
-        Deltas arrive over the (reliable) coordinator channel from both
-        the initial dispatch and every retry wave — including waves
-        whose *results* died before reporting, since the cache export
-        is charged to the channel, not the worker. The platform calls
-        this once per round, after :meth:`execute_round`.
-        """
-        deltas, self._cache_deltas = self._cache_deltas, []
-        return deltas
+        return results
 
     # -- delivery: the hostile uplink -----------------------------------------
 

@@ -66,14 +66,6 @@ def common_exec_flags() -> argparse.ArgumentParser:
     parent.add_argument("--batch-traces", type=int, default=0,
                         help="max traces per shard batch flush (0 = one"
                              " flush per round)")
-    parent.add_argument("--dispatch-rounds", type=int, default=1,
-                        help="ship up to K planned rounds per backend"
-                             " transaction (process backend: one pipe"
-                             " round-trip per window); applies only"
-                             " when fixing/guidance/collective-cache/"
-                             "chaos/invariants are all off — otherwise"
-                             " rounds dispatch one at a time. Reports"
-                             " stay bit-identical either way")
     parent.add_argument("--solver-cache", default="none",
                         choices=["none", "local", "collective"],
                         help="constraint recycling: local = per-engine"
@@ -343,7 +335,6 @@ def _run_platform(args, fixing: bool = True, tracing: bool = False):
         backend=getattr(args, "backend", "auto"),
         workers=getattr(args, "workers", 0),
         batch_max_traces=getattr(args, "batch_traces", 0),
-        dispatch_rounds=getattr(args, "dispatch_rounds", 1),
         chaos_profile=getattr(args, "chaos", "none"),
         check_invariants=getattr(args, "check_invariants", False),
         solver_cache=getattr(args, "solver_cache", "none"),

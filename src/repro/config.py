@@ -25,8 +25,8 @@ from repro.errors import ConfigError
 
 __all__ = [
     "BaseConfig", "BaseReport",
-    "check_at_least_one", "check_positive", "check_unit_interval",
-    "scrub_value",
+    "check_at_least_one", "check_non_negative", "check_positive",
+    "check_unit_interval", "scrub_value",
 ]
 
 
@@ -43,6 +43,12 @@ def check_positive(value: float, name: str,
     """Reject zero/negative knobs (rounds, budgets, intervals)."""
     if value <= 0:
         raise ConfigError(message or f"{name} must be positive")
+
+
+def check_non_negative(value: float, message: str) -> None:
+    """Reject negative knobs where zero is meaningful (0 = auto)."""
+    if value < 0:
+        raise ConfigError(message)
 
 
 def check_unit_interval(value: float, name: str,

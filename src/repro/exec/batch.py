@@ -4,20 +4,16 @@ Pods historically shipped one trace per execution. At fleet scale the
 per-message overhead dominates, so the executor accumulates traces into
 :class:`TraceBatch` objects — each entry a ``tracing.encode`` payload
 tagged with its global execution index — and flushes per round (or
-every ``batch_max_traces``). A batch optionally carries two shard-side
-aggregates so the hive can skip work it would otherwise redo serially:
+every ``batch_max_traces``). Shards attach two aggregates so the hive
+can skip work it would otherwise redo serially:
 
-* ``tree_blob`` — a partial :class:`ExecutionTree` (encoded via
-  ``tree.encode``), merged into the hive tree in one deterministic
-  step. Shards no longer ship these: since the session-protocol
-  redesign the round's tree increment rides ``ShardResult.tree_delta``
-  as ``(path, outcome, count)`` edge rows; the blob field remains for
-  external senders and is still honoured at ingest;
 * per-entry :class:`ReplayProduct` — the decision path and analysis
   by-products the shard already reconstructed by replaying the trace,
   exposing the same attributes the analyzers read off an
   ``ExecutionResult`` (duck-typed: ``lock_events``, ``global_events``,
-  ``final_globals``, ``return_values``, ``outcome``).
+  ``final_globals``, ``return_values``, ``outcome``);
+* the round's execution-tree increment, as ``(path, outcome, count)``
+  edge rows on :attr:`ShardResult.tree_delta`.
 
 The wire format (``encode_batch``/``decode_batch``) covers only what
 crosses the simulated Internet — indices and trace payloads; products
@@ -48,9 +44,8 @@ __all__ = [
 # discarded instead of ingested (the chaos layer injects exactly that);
 # v3 adds an optional trace context (trace id + sender span id) so
 # hive-side ingest spans parent under the sender's span. Decode accepts
-# v2 and v3 — v2 frames simply carry no context.
+# v3 only: every sender in the package writes it.
 _BATCH_FORMAT_VERSION = 3
-_MIN_FORMAT_VERSION = 2
 _CHECKSUM_BYTES = 4
 
 
@@ -104,7 +99,6 @@ class TraceBatch:
     program_version: int              # hive version shards replayed on
     sequence: int = 0                 # flush number within the round
     entries: List[BatchEntry] = field(default_factory=list)
-    tree_blob: Optional[bytes] = None
     #: Sender-side trace context (rides the wire in format v3) so the
     #: receiver's ingest span can parent under the sender's span.
     trace_context: Optional[SpanContext] = None
@@ -289,7 +283,7 @@ def encode_batch(batch: TraceBatch) -> bytes:
 
 
 def decode_batch(data) -> TraceBatch:
-    """Inverse of :func:`encode_batch` (products/trees do not survive
+    """Inverse of :func:`encode_batch` (products do not survive
     the wire — the receiver replays, as the paper prescribes).
 
     Accepts ``bytes`` or a ``memoryview``: receivers decode frames
@@ -308,14 +302,14 @@ def decode_batch(data) -> TraceBatch:
         raise TraceError("batch checksum mismatch")
     reader = _Reader(body)
     version = reader.varint()
-    if not _MIN_FORMAT_VERSION <= version <= _BATCH_FORMAT_VERSION:
+    if version != _BATCH_FORMAT_VERSION:
         raise TraceError(f"unsupported batch format version {version}")
     program_name = reader.string()
     program_version = reader.varint()
     shard_id = reader.varint()
     sequence = reader.varint()
     trace_context = None
-    if version >= 3 and reader.varint() == 1:
+    if reader.varint() == 1:
         trace_context = SpanContext(reader.string(), reader.string())
     entries: List[BatchEntry] = []
     for _ in range(reader.varint()):

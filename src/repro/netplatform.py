@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import (
-    BaseConfig, BaseReport, check_at_least_one, check_positive,
-    check_unit_interval,
+    BaseConfig, BaseReport, check_at_least_one, check_non_negative,
+    check_positive, check_unit_interval,
 )
-from repro.errors import ConfigError
-from repro.hive.hive import Hive
+from repro.loop import build_hive, check_loop_knobs, solver_cache_block
 from repro.metrics.series import Series
 from repro.net.network import Link, Network
 from repro.net.simclock import SimClock
@@ -67,17 +66,16 @@ class NetworkedConfig(BaseConfig):
 
     def validate(self) -> None:
         check_at_least_one(self.n_pods, "need at least one pod")
+        check_positive(self.duration, "duration")
         check_positive(self.mean_think_time, "mean_think_time",
                        message="times must be positive")
         check_positive(self.analysis_interval, "analysis_interval",
                        message="times must be positive")
+        check_non_negative(self.latency, "latency must be >= 0")
         check_unit_interval(self.loss_rate, "loss_rate")
         check_at_least_one(self.batch_max_traces,
                            "batch_max_traces must be >= 1")
-        if self.solver_cache not in ("none", "local", "collective"):
-            raise ConfigError(
-                "solver_cache must be one of none, local, collective")
-        self.resolved_chaos_profile()      # raises on unknown/bad
+        check_loop_knobs(self)
 
     def resolved_chaos_profile(self):
         """The validated :class:`~repro.chaos.FaultProfile` in force."""
@@ -319,16 +317,11 @@ class NetworkedPlatform(Instrumented):
         # the only one: "collective" and "local" coincide here (both
         # mean one hive-side ConstraintCache shared across analysis
         # ticks and fix validations).
-        self.solver_cache = None
-        if self.config.solver_cache != "none":
-            from repro.symbolic.cache import ConstraintCache
-            self.solver_cache = ConstraintCache()
-        self.hive = Hive(
+        self.hive = build_hive(
             scenario.program,
-            limits=ExecutionLimits(max_steps=self.config.max_steps),
-            enable_proofs=False,
-            solver_cache=self.solver_cache,
-        )
+            ExecutionLimits(max_steps=self.config.max_steps),
+            self.config.solver_cache, enable_proofs=False)
+        self.solver_cache = self.hive.solver_cache
         self._hive_transport = ReliableTransport(
             self.network, HIVE_ENDPOINT, receiver=self._hive_receive)
         self.pods = [_NetPod(self, index)
@@ -438,12 +431,8 @@ class NetworkedPlatform(Instrumented):
                 **self.chaos_events,
             }
         if self.solver_cache is not None:
-            doc["solver_cache"] = {
-                "mode": self.config.solver_cache,
-                "entries": len(self.solver_cache),
-                "stats": self.solver_cache.stats.as_dict(),
-                "solver": self.hive.solver_stats().as_dict(),
-            }
+            doc["solver_cache"] = solver_cache_block(
+                self.config.solver_cache, self.hive)
         return doc
 
     def _analysis_tick(self) -> None:

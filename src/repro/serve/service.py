@@ -45,28 +45,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Set
 
 from repro.config import (
-    BaseConfig, BaseReport, check_at_least_one, check_positive,
+    BaseReport, check_at_least_one, check_non_negative, check_positive,
 )
 from repro.errors import ConfigError
-from repro.exec.backends import (
-    SyncDelta, make_backend, resolve_backend_name,
-)
+from repro.exec.backends import SyncDelta
 from repro.exec.batch import BatchEntry
 from repro.exec.plan import PlannedRun, RoundPlan
-from repro.hive.hive import Hive
-from repro.obs import Instrumented
+from repro.loop import ClosedLoop, LoopConfig
 from repro.obs.health import TickEvidence
-from repro.obs.trace import derive_trace_id, get_tracer
-from repro.pod.pod import Pod
-from repro.progmodel.interpreter import ExecutionLimits
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serve.balance import make_balancer
 from repro.serve.control import ControlPlane
 from repro.serve.pump import IngestPump
-from repro.tracing.capture import FullCapture
 from repro.workloads.scenarios import Scenario
 
 __all__ = ["ServiceConfig", "TickStats", "ServiceReport", "Service",
@@ -79,8 +72,12 @@ SERVE_SCHEMA_VERSION = 2
 
 
 @dataclass
-class ServiceConfig(BaseConfig):
-    """Knobs of one service run (see docs/SERVICE.md)."""
+class ServiceConfig(LoopConfig):
+    """Knobs of one service run (see docs/SERVICE.md).
+
+    The hive and execution-substrate knobs come from
+    :class:`~repro.loop.LoopConfig`; serve turns proofs off and the
+    health plane on by default."""
 
     # -- virtual clock / load ------------------------------------------------
     ticks: int = 90
@@ -117,33 +114,18 @@ class ServiceConfig(BaseConfig):
     max_ingest_lag_ticks: float = 3.0
 
     # -- hive ----------------------------------------------------------------
-    fixing: bool = True
-    validate_fixes: bool = True
     fix_interval_ticks: int = 10
     enable_proofs: bool = False
-    min_failure_reports: int = 1
-    max_steps: int = 4000
-    dedup: bool = False
-
-    # -- execution substrate (mirrors PlatformConfig) ------------------------
-    seed: int = 0
-    backend: str = "auto"
-    workers: int = 0
-    batch_max_traces: int = 0
-    chaos_profile: object = "none"
-    solver_cache: str = "none"
 
     # -- health plane --------------------------------------------------------
     #: Serve runs default to a live health plane (SLOs, alerts,
     #: incidents); bare batch runs default off. Costs nothing when off.
     health: bool = True
-    #: ``{slo_name: objective}`` from ``repro serve --slo NAME=TARGET``.
-    slo_overrides: Dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
         check_positive(self.ticks, "ticks")
-        if self.users < 0:
-            raise ConfigError("users must be >= 0 (0 = scenario default)")
+        check_non_negative(self.users,
+                           "users must be >= 0 (0 = scenario default)")
         check_at_least_one(self.base_arrivals_per_tick,
                            "need at least one arrival per tick")
         if self.burst_arrivals_per_tick < self.base_arrivals_per_tick:
@@ -169,26 +151,12 @@ class ServiceConfig(BaseConfig):
                 "max_ingest_workers must be >= min_ingest_workers")
         check_positive(self.max_ingest_lag_ticks, "max_ingest_lag_ticks")
         check_positive(self.fix_interval_ticks, "fix_interval_ticks")
-        check_positive(self.max_steps, "max_steps")
         from repro.serve.balance import BALANCE_POLICIES
         if self.balance not in BALANCE_POLICIES:
             raise ConfigError(
                 f"balance must be one of"
                 f" {', '.join(sorted(BALANCE_POLICIES))}")
-        if self.solver_cache not in ("none", "local", "collective"):
-            raise ConfigError(
-                "solver_cache must be one of none, local, collective")
-        resolve_backend_name(self.backend)
-        if self.workers < 0:
-            raise ConfigError("workers must be >= 0 (0 = auto)")
-        self.resolved_chaos_profile()
-
-    def resolved_chaos_profile(self):
-        from repro.chaos import resolve_profile
-        return resolve_profile(self.chaos_profile)
-
-    def resolved_backend(self) -> str:
-        return resolve_backend_name(self.backend)
+        super().validate()
 
     def arrivals_for(self, tick: int) -> int:
         """The deterministic load curve: base rate with a burst window."""
@@ -255,21 +223,22 @@ class ServiceReport(BaseReport):
         }
 
 
-class Service(Instrumented):
+class Service(ClosedLoop):
     """One program's hive, run as a continuously ingesting service."""
 
     obs_namespace = "serve"
 
     def __init__(self, scenario: Scenario,
                  config: Optional[ServiceConfig] = None):
-        self.config = config or ServiceConfig()
-        self.config.validate()
-        self.scenario = scenario
-        config = self.config
-        self._tracer = get_tracer()
-        if self._tracer.enabled:
-            self._tracer.set_trace_id(derive_trace_id(
-                "serve", scenario.program.name, config.seed))
+        config = config or ServiceConfig()
+        config.validate()
+        # Shard-side replay products never survive the service wire
+        # (the pump re-frames through encode_batch, which models the
+        # pod uplink), so shards skip that work — unless collective
+        # recycling needs the replay to mine solver facts.
+        self._build_loop(scenario, config, config.max_pods, "serve",
+                         replay_products=(config.solver_cache
+                                          == "collective"))
         self._obs_tick = self.obs_timer("tick")
         self._obs_arrivals = self.obs_counter("arrivals")
         self._obs_admitted = self.obs_counter("admitted")
@@ -279,8 +248,6 @@ class Service(Instrumented):
         self._obs_backpressure = self.obs_counter("backpressure_ticks")
         self._obs_kills = self.obs_counter("pod_kills")
 
-        limits = ExecutionLimits(max_steps=config.max_steps)
-        capture = FullCapture()
         if config.users > 0:
             from repro.workloads.population import ZipfPopulation
             self.population = ZipfPopulation(
@@ -288,37 +255,6 @@ class Service(Instrumented):
                 volatility=config.volatility, seed=config.seed)
         else:
             self.population = scenario.population
-
-        self.pods = [
-            Pod(pod_id=f"pod{i:04d}", program=scenario.program,
-                capture=capture, limits=limits,
-                fault_rate=scenario.fault_rate,
-                seed=config.seed + i)
-            for i in range(config.max_pods)
-        ]
-        self.solver_cache = None
-        if config.solver_cache != "none":
-            from repro.symbolic.cache import ConstraintCache
-            self.solver_cache = ConstraintCache()
-        self.hive = Hive(
-            scenario.program, limits=limits,
-            validate_fixes=config.validate_fixes,
-            min_failure_reports=config.min_failure_reports,
-            enable_proofs=config.enable_proofs,
-            solver_cache=self.solver_cache)
-        # Shard-side replay products never survive the service wire
-        # (the pump re-frames through encode_batch, which models the
-        # pod uplink), so shards skip that work — unless collective
-        # recycling needs the replay to mine solver facts.
-        self.backend = make_backend(
-            config.resolved_backend(), self.pods, scenario.program,
-            capture=capture, limits=limits,
-            fault_rate=scenario.fault_rate,
-            dedup=config.dedup,
-            batch_max_traces=config.batch_max_traces,
-            workers=config.workers,
-            solver_cache=config.solver_cache,
-            replay_products=(config.solver_cache == "collective"))
 
         self.control = ControlPlane(config.max_pods,
                                     warmup_ticks=config.warmup_ticks,
@@ -361,25 +297,11 @@ class Service(Instrumented):
         # The health plane: None when disabled — every per-tick hook
         # below is a single ``is None`` check, and no obs registry
         # metric or series is ever allocated (BENCH_e22 pins this).
-        self.health = None
         self._chaos_profile_name = profile.name
         if config.health:
-            from repro.obs.health import HealthConfig, HealthPlane
-            from repro.registry.model import family_of
             from repro.serve.slos import default_serve_slos
-            self._bug_family = {
-                bug.message: family_of(bug.kind)
-                for bug in scenario.bugs}
-            self._family_bugs: Dict[str, int] = {}
-            for family in self._bug_family.values():
-                self._family_bugs[family] = \
-                    self._family_bugs.get(family, 0) + 1
-            self._family_seen = {family: set()
-                                 for family in self._family_bugs}
-            self.health = HealthPlane(
-                default_serve_slos(config),
-                HealthConfig(slo_overrides=dict(config.slo_overrides)),
-                flight=self._tracer.flight)
+            self._bugs_seen: Set[str] = set()
+            self._build_health(default_serve_slos(config))
 
     # -- properties ------------------------------------------------------------
 
@@ -453,32 +375,15 @@ class Service(Instrumented):
         failures = 0
         entries: List[BatchEntry] = []
         if admitted_runs:
-            collective = (self.solver_cache is not None
-                          and config.solver_cache == "collective")
-            if collective:
-                delta = self.solver_cache.export_delta()
-                if delta:
-                    self.backend.publish(SyncDelta(cache_entries=delta))
             plan = RoundPlan(round_index=tick,
                              hive_version=self.hive.program.version,
                              runs=admitted_runs)
-            with self._tracer.span("serve.execute", key=tick,
-                                   runs=admitted):
-                results = self.backend.run_round(plan)
-            if collective:
-                deltas = [result.cache_delta for result in results
-                          if result.cache_delta]
-                if deltas:
-                    self.hive.adopt_cache_deltas(deltas)
-            records = sorted(
-                (record for result in results
-                 for record in result.records),
-                key=lambda record: record.global_index)
+            records, results = self._execute(plan, "serve.execute", tick)
             executed = len(records)
             for record in records:
                 failures += int(record.failed)
                 if self.health is not None and record.has_failure:
-                    self._note_detection(record)
+                    self._bugs_seen.add(self._attribute(record))
             entries = sorted(
                 (entry for result in results
                  for batch in result.batches
@@ -594,17 +499,6 @@ class Service(Instrumented):
                 cache_hits,
                 cache_misses)
 
-    def _note_detection(self, record) -> None:
-        """Ground-truth detection attribution (mirrors the round
-        platform's ``_attribute``): the first seeded bug matching this
-        failing record counts as seen for its family."""
-        for bug in self.scenario.bugs:
-            if bug.matches_result(record.outcome, record.failure_message,
-                                  record.failure_block):
-                self._family_seen[self._bug_family[bug.message]].add(
-                    bug.message)
-                return
-
     def _observe_health(self, tick: int, stats: TickStats, span_id: str,
                         marks: tuple, killed: List[int]) -> None:
         """Feed the tick's SLI samples and correlation evidence."""
@@ -624,14 +518,7 @@ class Service(Instrumented):
             "pod_ready_ratio": (stats.ready_pods
                                 / max(1, stats.desired_pods)),
         }
-        if self._family_bugs:
-            rates = {family: len(self._family_seen[family]) / count
-                     for family, count in self._family_bugs.items()}
-            sample["family_detection_rate"] = min(rates.values())
-            for family in sorted(rates):
-                sample[f"detect.{family}"] = rates[family]
-        else:
-            sample["family_detection_rate"] = 1.0
+        sample.update(self._detection_sample(self._bugs_seen))
         if self.solver_cache is not None:
             # Per-tick delta, not the cumulative rate: the SLO window
             # should react to this tick's lookups. Lookup-free ticks emit
@@ -672,13 +559,9 @@ class Service(Instrumented):
             pass
 
     def _maybe_fix(self, tick: int) -> None:
-        with self._tracer.span("serve.fix", key=tick) as span:
-            updated = self.hive.maybe_fix()
+        with self._fix_window("serve.fix", tick) as updated:
             if updated is None:
                 return
-            fix = self.hive.deployed_fixes[-1]
-            self.report.fixes.append(fix.description)
-            span.set(deployed=fix.description)
             # Continuous rollout: the whole fleet updates at once —
             # one publish (one epoch) carries both the hive deploy and
             # the full-fleet rollout; frames already queued in the pump

@@ -11,8 +11,6 @@ already have deleted.
 import importlib
 import pkgutil
 
-import pytest
-
 import repro
 from repro.interfaces import ALIAS_LEDGER
 
@@ -50,9 +48,6 @@ def test_version_comparison_helper():
 
 def test_ledger_sees_every_alias_in_the_package():
     _import_whole_package()
-    assert ALIAS_LEDGER, ("no deprecated aliases registered — if the"
-                          " last one was removed, delete this assert"
-                          " along with it")
     for record in ALIAS_LEDGER:
         assert record.replacement
         assert _version_tuple(record.removal_version) > (0,)
@@ -68,15 +63,15 @@ def test_no_alias_outlives_its_removal_version():
         f" delete them): {expired}")
 
 
-def test_registered_aliases_still_warn():
-    """The ledger records metadata only — the wrapped alias must still
-    emit its DeprecationWarning when called."""
-    from repro.exec.backends import SerialBackend
-    from repro.workloads.scenarios import crash_scenario
-    scenario = crash_scenario(seed=1)
-    from repro.pod import Pod
-    pods = [Pod("dep-p0", scenario.program)]
-    backend = SerialBackend(pods, scenario.program)
-    with backend:
-        with pytest.warns(DeprecationWarning):
-            backend.set_hive_program(scenario.program)
+def test_expired_mutator_trio_is_gone():
+    """The backend mutator trio reached its v0.3 removal: no backend
+    class keeps the aliases, and the ledger no longer lists them."""
+    from repro.exec import backends
+    _import_whole_package()
+    trio = ("set_hive_program", "apply_update", "seed_cache")
+    for cls in (backends.SerialBackend, backends.ThreadBackend,
+                backends.ProcessBackend):
+        for name in trio:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    assert not [record for record in ALIAS_LEDGER
+                if record.module == backends.__name__]

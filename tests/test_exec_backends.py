@@ -3,9 +3,12 @@
 shard-merge algebra, and the TraceSink surface."""
 
 import dataclasses
+import json
 import os
 
 import pytest
+
+from repro import obs
 
 from repro.errors import ConfigError, TraceError, TreeError
 from repro.exec import (
@@ -17,8 +20,11 @@ from repro.exec.backends import (
     make_backend, resolve_backend_name, resolve_workers,
 )
 from repro.exec.plan import RoundPlan
+from repro.exec.shard import Shard
 from repro.hive.hive import Hive
 from repro.interfaces import TraceSink, TraceSource
+from repro.obs import Registry
+from repro.obs.trace import FixedClock, Tracer, get_tracer, set_tracer
 from repro.platform import PlatformConfig, SoftBorgPlatform
 from repro.progmodel.corpus import make_crash_demo
 from repro.progmodel.interpreter import Interpreter, Outcome
@@ -74,10 +80,26 @@ class TestBatchWire:
 
     def test_products_and_trees_do_not_cross_the_wire(self):
         _demo, batch = self._batch()
-        batch.tree_blob = b"not for the uplink"
         decoded = decode_batch(encode_batch(batch))
-        assert decoded.tree_blob is None
         assert all(entry.product is None for entry in decoded.entries)
+
+    def test_v2_frame_is_rejected(self):
+        # Decoders accept format v3 only. A v2 frame differs from v3 by
+        # its version varint and the missing trace-context flag; the
+        # checksum is valid, so the version check is what rejects it.
+        import struct
+        import zlib
+        _demo, batch = self._batch()
+        body = bytearray(encode_batch(batch)[:-4])
+        assert body[0] == 3
+        body[0] = 2
+        name_len = body[1]
+        fields_end = 2 + name_len + 3   # version, shard id, sequence
+        assert body[fields_end] == 0    # no trace context
+        del body[fields_end]
+        frame = bytes(body) + struct.pack(">I", zlib.crc32(body))
+        with pytest.raises(TraceError, match="format version 2"):
+            decode_batch(frame)
 
     def test_truncated_and_trailing_bytes_raise(self):
         _demo, batch = self._batch()
@@ -228,8 +250,8 @@ def _session_plan(program, n_runs=4, n_pods=4):
 
 
 class TestSessionProtocol:
-    """publish() epochs, the deprecated mutator trio, context-manager
-    lifecycle, and worker respawn replaying the session log."""
+    """publish() epochs, context-manager lifecycle, and worker respawn
+    replaying the session log."""
 
     def test_publish_stamps_monotonic_epochs(self):
         demo = make_crash_demo()
@@ -247,28 +269,22 @@ class TestSessionProtocol:
                 SyncDelta(hive_program=v2, rollout=(v2, (0, 1)))) == 2
             assert backend.epoch == 2
 
-    def test_deprecated_trio_delegates_to_publish(self):
+    def test_deprecated_trio_is_gone(self):
+        # The mutator trio reached its v0.3 removal; publish() is the
+        # one door for each state change it used to make.
         demo = make_crash_demo()
         v2 = dataclasses.replace(demo.program, version=2)
         with make_backend("serial", _session_pods(demo.program),
                           demo.program) as backend:
+            for name in ("set_hive_program", "apply_update", "seed_cache"):
+                assert not hasattr(backend, name)
             shard = backend._shard
-            with pytest.warns(DeprecationWarning) as caught:
-                backend.set_hive_program(v2)
-            message = str(caught[0].message)
-            assert "publish" in message and "v0.3" in message
-            assert backend.epoch == 1
+            assert backend.publish(SyncDelta(hive_program=v2)) == 1
             assert shard.hive_program.version == 2
-            with pytest.warns(DeprecationWarning, match="publish"):
-                backend.apply_update(v2, [0])
-            assert backend.epoch == 2
+            assert backend.publish(SyncDelta(rollout=(v2, (0,)))) == 2
             assert shard.pods[0].version == 2
             assert shard.pods[1].version == 1
-            # An empty legacy seed compacts to an empty delta: warned,
-            # but no epoch burned.
-            with pytest.warns(DeprecationWarning, match="publish"):
-                backend.seed_cache([])
-            assert backend.epoch == 2
+            assert backend.publish(SyncDelta(cache_entries=[])) == 2
 
     def test_context_manager_closes_workers(self):
         demo = make_crash_demo()
@@ -328,6 +344,59 @@ class TestSessionProtocol:
             reply = pipe.recv()
             assert reply[0] == "error"
             assert "epoch" in reply[1]
+
+
+class TestLazySpanShipping:
+    """With tracing off the shard allocates no recorder state and the
+    result carries an empty span tuple across the pipe."""
+
+    def test_shard_result_spans_empty_when_disabled(self):
+        demo = crash_scenario(seed=1)
+        previous_tracer = set_tracer(Tracer(enabled=False))
+        try:
+            from repro.pod.pod import Pod
+            pods = {0: Pod(pod_id="p0", program=demo.program, seed=1)}
+            shard = Shard(0, pods, demo.program)
+            plan = [PlannedRun(0, 0, {name: lo for name, (lo, _hi)
+                                      in demo.program.inputs.items()})]
+            result = shard.run_shard(plan)
+            assert result.spans == ()
+        finally:
+            set_tracer(previous_tracer)
+
+    @pytest.mark.slow
+    def test_tracing_off_reports_match_and_ship_no_spans(self):
+        # Tracing is observation only: untraced runs on every backend
+        # reproduce the traced serial run's report, hive state, paths
+        # and scorecard, and no span crosses a worker boundary.
+        def run(backend, tracing):
+            previous = obs.set_registry(Registry())
+            previous_tracer = set_tracer(
+                Tracer(enabled=tracing, clock=FixedClock(0.0)))
+            try:
+                platform = SoftBorgPlatform(
+                    crash_scenario(seed=3),
+                    PlatformConfig(n_pods=6, rounds=4,
+                                   executions_per_round=20, fixing=False,
+                                   dedup=True, trace_loss_rate=0.25,
+                                   enable_proofs=True, seed=3,
+                                   backend=backend, workers=2))
+                report = platform.run()
+                fingerprint = json.dumps({
+                    "report": report.as_dict(),
+                    "hive": platform.hive.stats.as_dict(),
+                    "paths": platform.hive.tree.canonical_paths(),
+                    "scorecard": platform._scorecard_block(),
+                }, default=str, sort_keys=True)
+                return fingerprint, len(get_tracer().log)
+            finally:
+                obs.set_registry(previous)
+                set_tracer(previous_tracer)
+
+        traced, spans = run("serial", tracing=True)
+        assert spans > 0
+        for backend in ("serial", "thread", "process"):
+            assert run(backend, tracing=False) == (traced, 0), backend
 
 
 class TestSessionWire:

@@ -72,6 +72,16 @@ class TestNetworkedLoop:
             NetworkedConfig(loss_rate=1.0).validate()
         with pytest.raises(ConfigError):
             NetworkedConfig(batch_max_traces=0).validate()
+        # The checks the round platform and serve configs make too.
+        with pytest.raises(ConfigError, match="max_steps must be positive"):
+            NetworkedConfig(max_steps=0).validate()
+        with pytest.raises(ConfigError, match="duration must be positive"):
+            NetworkedConfig(duration=0.0).validate()
+        with pytest.raises(ConfigError, match="duration must be positive"):
+            NetworkedConfig(duration=-5.0).validate()
+        with pytest.raises(ConfigError, match="latency must be >= 0"):
+            NetworkedConfig(latency=-0.01).validate()
+        NetworkedConfig(latency=0.0).validate()   # zero latency is fine
 
     def test_batched_uplink_delivers_everything_for_less(self):
         _p1, legacy = _run(duration=150.0)
