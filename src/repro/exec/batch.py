@@ -49,10 +49,14 @@ _BATCH_FORMAT_VERSION = 3
 _CHECKSUM_BYTES = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayProduct:
     """Shard-side replay by-products, shaped like an ExecutionResult
-    for the hive's analyzers (attribute-compatible subset)."""
+    for the hive's analyzers (attribute-compatible subset).
+
+    Frozen, and its dicts are never mutated: one product is shared by
+    every entry that replays the same recorded content (see
+    :mod:`repro.exec.replay`)."""
 
     program_version: int
     outcome: Outcome

@@ -12,11 +12,12 @@ a worker (re)spawns — and only **deltas** cross afterwards:
   after a crash replays the log and rejoins at the current epoch.
 * worker → coordinator: a packed :class:`~repro.exec.batch.ShardResult`
   (:func:`pack_result` / :func:`unpack_result`): run records as flat
-  rows over an interned outcome table, replay products deduplicated
-  into a content-keyed table (a round usually explores a handful of
-  distinct paths across thousands of runs), execution-tree *edge
-  deltas* ``(path, outcome, count)`` instead of partial-tree blobs,
-  and trace payloads as raw bytes encoded once on the worker.
+  rows over an interned outcome table, replay products interned by
+  identity into a table (the shard's replay memo shares one product
+  per distinct recorded execution, and a round usually explores a
+  handful of distinct paths across thousands of runs), execution-tree
+  *edge deltas* ``(path, outcome, count)`` instead of partial-tree
+  blobs, and trace payloads as raw bytes encoded once on the worker.
 
 Profiling note (ROADMAP open item 1): on the 40-pod E18 workload the
 per-object pickle of dataclass results cost ~16 ms per round — ~13% of
@@ -161,8 +162,10 @@ def pack_result(result: ShardResult) -> tuple:
     """Flatten a ShardResult for the coordinator pipe.
 
     Outcomes intern into a value table; replay products intern by
-    content (path + version + outcome identify a product for a
-    deterministic interpreter); record failure details ship sparsely.
+    identity (the shard's replay memo hands every entry with the same
+    recorded content one shared product, while two schedules on one
+    decision path keep their own lock and global events); record
+    failure details ship sparsely.
     Trace payload bytes pass through untouched — they were encoded once
     on the worker and the coordinator decodes them lazily.
     """
@@ -180,7 +183,7 @@ def pack_result(result: ShardResult) -> tuple:
                                           rec.failure_block)
 
     products: List[ReplayProduct] = []
-    product_index: Dict[tuple, int] = {}
+    product_index: Dict[int, int] = {}
     batch_rows: List[tuple] = []
     for batch in result.batches:
         entry_rows: List[tuple] = []
@@ -192,9 +195,8 @@ def pack_result(result: ShardResult) -> tuple:
             slot = -1
             product = entry.product
             if product is not None:
-                key = (product.program_version, product.outcome.value,
-                       product.path_decisions)
-                slot = _intern(products, product_index, key, product)
+                slot = _intern(products, product_index, id(product),
+                               product)
             entry_rows.append((entry.global_index, entry.payload,
                                None, slot))
         batch_rows.append((batch.sequence, batch.program_name,

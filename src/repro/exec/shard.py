@@ -14,7 +14,8 @@ Determinism contract: a shard processes its runs in global-index order,
 so each pod's RNG stream and dedup state advance exactly as under the
 historical serial loop; the replay it performs is the same
 ``Interpreter.replay`` the hive would have run, against the same
-program version.
+program version, memoized per distinct recorded content
+(:mod:`repro.exec.replay`).
 """
 
 from __future__ import annotations
@@ -22,16 +23,14 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import TraceError
 from repro.exec.batch import (
     BatchAccumulator, BatchEntry, ReplayProduct, RunRecord, ShardResult,
 )
 from repro.exec.plan import PlannedRun
+from repro.exec.replay import ReplayMemo
 from repro.obs.trace import NULL_SPAN, SpanContext, get_tracer
 from repro.pod.pod import Pod
-from repro.progmodel.interpreter import (
-    ExecutionLimits, Interpreter, Outcome, ReplaySource,
-)
+from repro.progmodel.interpreter import ExecutionLimits, Outcome
 from repro.progmodel.ir import Program
 from repro.tracing.dedup import PodDeduplicator
 from repro.tracing.encode import encode_trace
@@ -53,8 +52,9 @@ class Shard:
                  replay_products: bool = True):
         self.shard_id = shard_id
         self.pods = pods                       # global pod index -> Pod
-        self.hive_program = hive_program       # what the hive replays on
         self.limits = limits or ExecutionLimits()
+        # Replays target the hive's program, memoized per content.
+        self._replays = ReplayMemo(hive_program, self.limits)
         self.batch_max_traces = batch_max_traces
         self.collect_tree = collect_tree
         # Service mode turns shard-side replay off: products never
@@ -79,9 +79,14 @@ class Shard:
 
     # -- lifecycle ------------------------------------------------------------
 
+    @property
+    def hive_program(self) -> Program:
+        """The program the hive replays on."""
+        return self._replays.program
+
     def set_hive_program(self, program: Program) -> None:
         """The hive deployed a fix: future replays target ``program``."""
-        self.hive_program = program
+        self._replays.reset(program)
         self._recycle_engine = None
         self._recycled_paths.clear()
 
@@ -259,31 +264,17 @@ class Shard:
         Only replayable traces for the hive's current version qualify;
         everything else (stale, sampled, truncated, corrupt) returns
         ``None`` and the hive handles the entry itself on the fallback
-        path — same code, same order, any backend.
+        path — same code, same order, any backend. Repeats of recorded
+        content share one memoized product.
         """
         if not trace.replayable:
             return None
         if trace.program_version != self.hive_program.version:
             return None                        # stale: hive just counts it
-        try:
-            result = Interpreter(
-                self.hive_program, limits=self.limits).replay(
-                ReplaySource(
-                    branch_bits=list(trace.branch_bits),
-                    syscall_returns=list(trace.syscall_returns),
-                    schedule_picks=list(trace.schedule_picks()),
-                ))
-        except TraceError:
+        product = self._replays.replay(trace)
+        if product is None:
             return None                        # hive will count the failure
         if edges is not None:
-            key = (tuple(result.path_decisions), result.outcome)
+            key = (product.path_decisions, product.outcome)
             edges[key] = edges.get(key, 0) + 1
-        return ReplayProduct(
-            program_version=trace.program_version,
-            outcome=result.outcome,
-            path_decisions=tuple(result.path_decisions),
-            lock_events=tuple(result.lock_events),
-            global_events=tuple(result.global_events),
-            final_globals=dict(result.final_globals),
-            return_values=dict(result.return_values),
-        )
+        return product

@@ -12,6 +12,7 @@ from repro.analysis.invariants import InvariantMiner
 from repro.analysis.races import RaceAnalyzer
 from repro.config import BaseReport
 from repro.errors import TraceError
+from repro.exec.replay import ReplayMemo, memo_lookup
 from repro.obs import Instrumented
 from repro.obs.trace import get_tracer
 from repro.fixes.deadlock_immunity import synthesize_immunity_fix
@@ -27,10 +28,19 @@ from repro.progmodel.ir import Program, Syscall
 from repro.proofs.properties import NO_FAILURES, OutcomeProperty
 from repro.proofs.prover import CumulativeProver
 from repro.symbolic.engine import SymbolicEngine
+from repro.tracing.dedup import trace_digest
+from repro.tracing.encode import decode_trace
 from repro.tracing.trace import Trace
 from repro.tree.exectree import ExecutionTree
 
 __all__ = ["Hive", "HiveStats"]
+
+#: Decoded payloads one hive keeps. A payload is a pure function of
+#: (recorded content, pod id), so repeats are common: the perfbench
+#: runs peak at 120 (crash-fleet), 776 (corpus-hunt) and 51
+#: (serve-stream) distinct payloads and never evict. The bound caps
+#: memory on longer runs over programs with many paths.
+DECODE_MEMO_CAPACITY = 1024
 
 
 @dataclass
@@ -123,6 +133,12 @@ class Hive(Instrumented):
         # deployed concurrency fixes. Kept across fix deployments.
         self._dangerous_schedules: List[Tuple[int, ...]] = []
         self._digest_paths: Dict[bytes, Tuple[Tuple, "Outcome"]] = {}
+        # Recomputation the hive skips: replays of content it already
+        # replayed under this program version, and decodes of payload
+        # bytes it already decoded (Trace is frozen, so entries share
+        # one instance). Neither shows in any span or snapshot.
+        self._replays = ReplayMemo(program, self.limits)
+        self._decoded: Dict[bytes, Trace] = {}
         self._failure_traces: List[Trace] = []
         self._steering: Optional[Steering] = None
 
@@ -160,18 +176,8 @@ class Hive(Instrumented):
             self._ingest_trace(trace)
 
     def _ingest_trace(self, trace: Trace) -> None:
-        self.stats.traces_ingested += 1
-        self._obs_ingested.inc()
-        if trace.program_version != self.program.version:
-            self.stats.stale_traces += 1
-            self._obs_stale.inc()
+        if not self._admit(trace):
             return
-        if trace.outcome.is_failure:
-            self._failure_traces.append(trace)
-            if (trace.outcome in (Outcome.DEADLOCK, Outcome.ASSERT)
-                    and len(trace.schedule_rle) > 1
-                    and len(self._dangerous_schedules) < 8):
-                self._dangerous_schedules.append(trace.schedule_picks())
         if not trace.replayable:
             if trace.branch_bits:
                 # Privacy-truncated trace: the retained bit prefix still
@@ -187,46 +193,61 @@ class Hive(Instrumented):
                                 schedule_picks=list(trace.schedule_picks()),
                             ))
                 except TraceError:
-                    self.stats.replay_failures += 1
-                    self._obs_replay_failures.inc()
-                    self.bucketer.add(trace)
+                    self._replay_failed(trace)
                     return
                 self.tree.insert_path(prefix, trace.outcome)
             else:
                 self.cbi.add_trace(trace)
             self.bucketer.add(trace)
             return
-        try:
-            with self._obs_phase_replay.time():
-                result = Interpreter(
-                    self.program, limits=self.limits).replay(
-                    ReplaySource(
-                        branch_bits=list(trace.branch_bits),
-                        syscall_returns=list(trace.syscall_returns),
-                        schedule_picks=list(trace.schedule_picks()),
-                    ))
-        except TraceError:
-            self.stats.replay_failures += 1
-            self._obs_replay_failures.inc()
-            self.bucketer.add(trace)
+        with self._obs_phase_replay.time():
+            product = self._replays.replay(trace)
+        if product is None:
+            self._replay_failed(trace)
             return
+        self._fold(trace, product, insert_path=True)
+
+    def _admit(self, trace: Trace) -> bool:
+        """Count one arriving trace; ``False`` when it is stale."""
+        self.stats.traces_ingested += 1
+        self._obs_ingested.inc()
+        if trace.program_version != self.program.version:
+            self.stats.stale_traces += 1
+            self._obs_stale.inc()
+            return False
+        if trace.outcome.is_failure:
+            self._failure_traces.append(trace)
+            if (trace.outcome in (Outcome.DEADLOCK, Outcome.ASSERT)
+                    and len(trace.schedule_rle) > 1
+                    and len(self._dangerous_schedules) < 8):
+                self._dangerous_schedules.append(trace.schedule_picks())
+        return True
+
+    def _replay_failed(self, trace: Trace) -> None:
+        self.stats.replay_failures += 1
+        self._obs_replay_failures.inc()
+        self.bucketer.add(trace)
+
+    def _fold(self, trace: Trace, product, insert_path: bool) -> None:
+        """Feed one replayed execution's by-products to the analyzers."""
         with self._obs_phase_analysis.time():
             # Replayable failure dumps carry their full decision path —
             # feed it to the bucketer for WER-style bucket splitting.
-            self.bucketer.add(trace, path=result.path_decisions)
-            self.tree.insert_path(result.path_decisions, result.outcome)
-            self.deadlocks.add_execution(result)
-            self.races.add_execution(result)
-            if result.outcome is Outcome.OK:
+            self.bucketer.add(trace, path=product.path_decisions)
+            if insert_path:
+                self.tree.insert_path(product.path_decisions,
+                                      product.outcome)
+            self.deadlocks.add_execution(product)
+            self.races.add_execution(product)
+            if product.outcome is Outcome.OK:
                 # Invariants are mined from healthy behaviour only:
                 # "identify the correct code in P" (Sec. 2).
-                self.invariants.add_execution(result)
+                self.invariants.add_execution(product)
         # Remember the digest -> path association so later heartbeats
         # from deduplicating pods can bump this path's usage counts
         # without re-shipping the trace.
-        from repro.tracing.dedup import trace_digest
         self._digest_paths[trace_digest(trace)] = (
-            tuple(result.path_decisions), result.outcome)
+            product.path_decisions, product.outcome)
 
     def ingest_batch(self, batches, tree_deltas=None) -> int:
         """Fold a round's worth of shard :class:`TraceBatch` flushes.
@@ -251,7 +272,6 @@ class Hive(Instrumented):
 
         Returns the number of entries consumed.
         """
-        from repro.tracing.encode import decode_trace
         ordered = sorted(batches, key=lambda b: (b.shard_id, b.sequence))
         entries = sorted(
             (entry for batch in ordered for entry in batch.entries),
@@ -276,7 +296,7 @@ class Hive(Instrumented):
                 with self._tracer.span("wire.decode",
                                        key=entry.global_index,
                                        bytes=len(entry.payload)):
-                    trace = decode_trace(entry.payload)
+                    trace = self._decode(entry.payload)
                 product = entry.product
                 if (product is not None
                         and product.program_version
@@ -285,6 +305,13 @@ class Hive(Instrumented):
                 else:
                     self.ingest_trace(trace)
         return len(entries)
+
+    def _decode(self, payload: bytes) -> Trace:
+        """``decode_trace``, memoized on the payload bytes. A corrupt
+        payload raises and is never stored."""
+        return memo_lookup(self._decoded, payload,
+                           lambda: decode_trace(payload),
+                           DECODE_MEMO_CAPACITY)
 
     def _ingest_product(self, trace: Trace, product) -> None:
         """Ingest a trace whose replay the shard already performed.
@@ -297,30 +324,8 @@ class Hive(Instrumented):
         with self._tracer.span("hive.ingest_product",
                                key=self._next_seq(),
                                outcome=product.outcome.value):
-            self._ingest_product_inner(trace, product)
-
-    def _ingest_product_inner(self, trace: Trace, product) -> None:
-        self.stats.traces_ingested += 1
-        self._obs_ingested.inc()
-        if trace.program_version != self.program.version:
-            self.stats.stale_traces += 1
-            self._obs_stale.inc()
-            return
-        if trace.outcome.is_failure:
-            self._failure_traces.append(trace)
-            if (trace.outcome in (Outcome.DEADLOCK, Outcome.ASSERT)
-                    and len(trace.schedule_rle) > 1
-                    and len(self._dangerous_schedules) < 8):
-                self._dangerous_schedules.append(trace.schedule_picks())
-        with self._obs_phase_analysis.time():
-            self.bucketer.add(trace, path=product.path_decisions)
-            self.deadlocks.add_execution(product)
-            self.races.add_execution(product)
-            if product.outcome is Outcome.OK:
-                self.invariants.add_execution(product)
-        from repro.tracing.dedup import trace_digest
-        self._digest_paths[trace_digest(trace)] = (
-            tuple(product.path_decisions), product.outcome)
+            if self._admit(trace):
+                self._fold(trace, product, insert_path=False)
 
     def ingest_heartbeat(self, heartbeat) -> None:
         """Account a deduplicated repeat of an already-known trace."""
@@ -429,6 +434,7 @@ class Hive(Instrumented):
         self.races = RaceAnalyzer()
         self.invariants = InvariantMiner()
         self._digest_paths = {}
+        self._replays.reset(fixed)
         self._retire_steering()
         if self.prover is not None:
             self.prover.on_fix_deployed(fixed)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -12,8 +11,10 @@ from repro.progmodel.interpreter import (
     Environment, ExecutionLimits, ExecutionResult, Interpreter,
 )
 from repro.progmodel.ir import Program
-from repro.rng import make_rng
-from repro.sched.scheduler import PCTScheduler, RandomScheduler
+from repro.rng import LazyRandom, make_rng
+from repro.sched.scheduler import (
+    PCTScheduler, RandomScheduler, RoundRobinScheduler,
+)
 from repro.tracing.capture import CapturePolicy, FullCapture
 from repro.tracing.outcome import UserFeedback, infer_feedback
 from repro.tracing.trace import Trace
@@ -104,7 +105,12 @@ class Pod(Instrumented):
                 n_threads=len(self.program.threads), depth=3,
                 max_steps=horizon, seed=directive.pct_seed)
         else:
-            scheduler = RandomScheduler(rng=self._spawn_rng("sched"))
+            rng = self._spawn_rng("sched")
+            # Threads never spawn at run time, so a one-thread program
+            # always has exactly one runnable thread: nothing to draw.
+            scheduler = (RoundRobinScheduler()
+                         if len(self.program.threads) == 1
+                         else RandomScheduler(rng=rng))
 
         with self._obs_execute.time():
             result = Interpreter(self.program, limits=self.limits).run(
@@ -125,8 +131,12 @@ class Pod(Instrumented):
 
     # -- helpers ----------------------------------------------------------------
 
-    def _spawn_rng(self, label: str):
-        return random.Random(self._rng.getrandbits(64))
+    def _spawn_rng(self, label: str) -> LazyRandom:
+        """The next child stream: its seed is drawn now, in order, but
+        the generator is built only if the execution draws from it (the
+        env stream on faults or ``rand``, the feedback stream on HANG).
+        """
+        return LazyRandom(self._rng.getrandbits(64))
 
     def _clamp_inputs(self, inputs: Dict[str, int]) -> Dict[str, int]:
         """Directives may come from an engine run against an older

@@ -312,7 +312,20 @@ def encode_program(program: Program) -> bytes:
 
 
 def decode_program(data: bytes) -> Program:
-    """Inverse of :func:`encode_program`; validates the result."""
+    """Inverse of :func:`encode_program`; validates the result.
+
+    Total over bytes: any input yields a program or raises
+    :class:`~repro.errors.TraceError`, whatever part of the decoder or
+    of IR validation the mangled bytes upset.
+    """
+    try:
+        return _decode_program(data)
+    except (ProgramModelError, ValueError, IndexError, KeyError,
+            OverflowError, RecursionError) as error:
+        raise TraceError(f"malformed program bytes: {error}")
+
+
+def _decode_program(data: bytes) -> Program:
     r = _Reader(data)
     version = r.varint()
     if version != _FORMAT_VERSION:

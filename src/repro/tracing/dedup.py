@@ -44,9 +44,20 @@ class Heartbeat:
 def trace_digest(trace: Trace) -> TraceDigest:
     """Content digest over everything that defines the trace's
     information value (pod identity excluded: two users on the same
-    path produce the same digest)."""
+    path produce the same digest).
+
+    Memoized on the trace, like the encoder's wire prefix: traces are
+    frozen, so the digest never changes, and a hive that shares one
+    decoded trace across repeated payloads hashes it once.
+    """
+    try:
+        return trace._digest
+    except AttributeError:
+        pass
     payload = encode_trace(trace, pod_override="")
-    return hashlib.blake2b(payload, digest_size=16).digest()
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    object.__setattr__(trace, "_digest", digest)
+    return digest
 
 
 class PodDeduplicator:

@@ -107,14 +107,23 @@ def encode_tree(tree: ExecutionTree) -> bytes:
 
 
 def decode_tree(data: bytes) -> ExecutionTree:
-    """Rebuild a tree with identical paths and counters."""
+    """Rebuild a tree with identical paths and counters.
+
+    Total over bytes: any input yields a tree or raises
+    :class:`~repro.errors.TraceError`.
+    """
+    try:
+        return _decode_tree(data)
+    except (ValueError, IndexError, KeyError, OverflowError) as error:
+        raise TraceError(f"malformed tree bytes: {error}")
+
+
+def _decode_tree(data: bytes) -> ExecutionTree:
     reader = _Reader(data)
     version = reader.varint()
     if version != _FORMAT_VERSION:
         raise TraceError(f"unsupported tree format version {version}")
-    name_len = reader.varint()
-    name = reader._data[reader._pos:reader._pos + name_len].decode("utf-8")
-    reader._pos += name_len
+    name = reader.string()
     program_version = reader.varint()
     table = [reader.string() for _ in range(reader.varint())]
     tree = ExecutionTree(name, program_version)
@@ -129,8 +138,10 @@ def decode_tree(data: bytes) -> ExecutionTree:
         for _o in range(reader.varint()):
             outcome = _OUTCOMES[reader.varint()]
             count = reader.varint()
-            for _c in range(count):
-                tree.insert_path(decisions, outcome)
+            if count:
+                # One counted walk: a mangled count costs no more work
+                # than a sane one.
+                tree.insert_path(decisions, outcome, count=count)
     if not reader.done():
         raise TraceError("trailing bytes after tree")
     return tree

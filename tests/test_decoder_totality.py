@@ -1,0 +1,119 @@
+"""Wire decoders are total: any bytes yield a value or ``TraceError``.
+
+Each decoder is fed deterministic mutants of live encodings — a single
+byte replaced at every position, every truncation, a continuation byte
+inserted at every position, and a seeded batch of multi-byte
+corruptions. Every mutant must decode or raise the module's one typed
+error; nothing else may escape.
+"""
+
+import random
+
+import pytest
+
+from repro import PlatformConfig, SoftBorgPlatform
+from repro.errors import TraceError
+from repro.progmodel.bugs import BugKind
+from repro.progmodel.builder import ProgramBuilder
+from repro.progmodel.corpus import (
+    CorpusConfig, generate_program, make_crash_demo,
+)
+from repro.progmodel.interpreter import Interpreter, Outcome
+from repro.progmodel.ir import Const
+from repro.progmodel.serialize import decode_program, encode_program
+from repro.tracing.capture import FullCapture
+from repro.tracing.encode import decode_trace, encode_trace
+from repro.tree.encode import decode_tree, encode_tree
+from repro.tree.exectree import ExecutionTree
+from repro.workloads.scenarios import deadlock_scenario
+
+#: Replacement bytes tried at every position: low-bit flip, top-bit
+#: flip (varint continuation), complement, zero, max single-byte
+#: varint.
+_REPLACEMENTS = (lambda b: b ^ 0x01, lambda b: b ^ 0x80,
+                 lambda b: b ^ 0xFF, lambda b: 0x00, lambda b: 0x7F)
+
+
+def mutants(data: bytes, seed: int = 0, random_mutants: int = 200):
+    for index, byte in enumerate(data):
+        for replace in _REPLACEMENTS:
+            value = replace(byte)
+            if value != byte:
+                yield data[:index] + bytes([value]) + data[index + 1:]
+        yield data[:index]
+        yield data[:index] + b"\x80" + data[index:]
+    rng = random.Random(seed)
+    for _ in range(random_mutants):
+        mutant = bytearray(data)
+        for _ in range(rng.randint(2, 4)):
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        yield bytes(mutant)
+
+
+def assert_total(decode, data: bytes) -> int:
+    """Decode every mutant of ``data``; returns how many decoded."""
+    decoded = 0
+    for mutant in mutants(data):
+        try:
+            decode(mutant)
+        except TraceError:
+            continue
+        decoded += 1
+    return decoded
+
+
+def _hive_tree():
+    platform = SoftBorgPlatform(deadlock_scenario(seed=2), PlatformConfig(
+        rounds=4, executions_per_round=40, fixing=False,
+        enable_proofs=False, seed=2, backend="serial"))
+    platform.run()
+    return platform.hive.tree
+
+
+class TestDecodersAreTotal:
+    @pytest.mark.parametrize("program", [
+        make_crash_demo().program,
+        generate_program("totality", CorpusConfig(seed=4, n_segments=3),
+                         (BugKind.CRASH,)).program,
+    ], ids=["crash-demo", "corpus"])
+    def test_decode_program(self, program):
+        data = encode_program(program)
+        assert decode_program(data).name == program.name
+        assert_total(decode_program, data)
+
+    def test_deeply_nested_expression_is_a_trace_error(self):
+        # 5,000 nested negations: more frames than the recursive
+        # expression reader may take.
+        builder = ProgramBuilder("deep")
+        builder.function("main").block("entry").assign(
+            "marker", Const(0)).halt()
+        data = encode_program(builder.build())
+        at = data.index(b"\x06marker") + len(b"\x06marker")
+        assert data[at:at + 2] == b"\x00\x00"      # Const(0)
+        with pytest.raises(TraceError):
+            decode_program(data[:at] + b"\x04\x00" * 5000 + data[at:])
+
+    def test_decode_tree(self):
+        tree = _hive_tree()
+        assert tree.path_count > 1
+        data = encode_tree(tree)
+        assert decode_tree(data).canonical_paths() == tree.canonical_paths()
+        assert_total(decode_tree, data)
+
+    def test_decode_trace(self):
+        demo = make_crash_demo()
+        result = Interpreter(demo.program).run({"n": 7, "mode": 2})
+        data = encode_trace(FullCapture().capture(result, pod_id="p"))
+        assert_total(decode_trace, data)
+
+    def test_huge_tree_count_costs_one_walk(self):
+        # A mangled count varint can claim hundreds of millions of
+        # executions; the decoder folds it into one counted insert
+        # instead of walking the path that many times.
+        tree = ExecutionTree("p", 1)
+        tree.insert_path([((0, "main", "entry"), True)], Outcome.OK,
+                         count=3)
+        data = encode_tree(tree)
+        assert data[-1] == 3                  # the count is the last byte
+        huge = data[:-1] + b"\xff\xff\xff\x7f"
+        assert decode_tree(huge).insert_count == (1 << 28) - 1
