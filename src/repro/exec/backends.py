@@ -36,12 +36,7 @@ Backend choice is config- or environment-driven (``REPRO_BACKEND``);
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
-
-try:  # pragma: no cover
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
+from typing import Dict, List, Optional, Protocol, Sequence
 
 from repro.errors import ConfigError
 from repro.exec.batch import ShardResult

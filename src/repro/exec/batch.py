@@ -32,6 +32,9 @@ from repro.errors import TraceError
 from repro.obs.trace import SpanContext
 from repro.progmodel.interpreter import Outcome
 from repro.tracing.dedup import Heartbeat
+from repro.wire import (
+    Reader, total_decoder, write_blob, write_string, write_varint,
+)
 
 __all__ = [
     "ReplayProduct", "RunRecord", "BatchEntry", "TraceBatch",
@@ -168,72 +171,6 @@ def _release_buffer(buf: bytearray) -> None:
         _BUFFER_POOL.append(buf)
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if 0 <= value < 0x80:          # single-byte fast path (the common case)
-        out.append(value)
-        return
-    if value < 0:
-        raise TraceError(f"varint cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-class _Reader:
-    """Varint-framed reader over ``bytes`` or a ``memoryview``.
-
-    With a memoryview input, :meth:`blob` materializes each payload
-    with exactly one copy out of the received buffer — no intermediate
-    whole-body slice — which is how the coordinator decodes frames the
-    workers encoded once.
-    """
-
-    def __init__(self, data):
-        self._data = data
-        self._len = len(data)
-        self._pos = 0
-
-    def varint(self) -> int:
-        data = self._data
-        pos = self._pos
-        if pos < self._len:
-            byte = data[pos]
-            if not byte & 0x80:        # single-byte fast path
-                self._pos = pos + 1
-                return byte
-        shift = 0
-        value = 0
-        while True:
-            if pos >= self._len:
-                raise TraceError("truncated batch varint")
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                self._pos = pos
-                return value
-            shift += 7
-
-    def blob(self) -> bytes:
-        length = self.varint()
-        if self._pos + length > self._len:
-            raise TraceError("truncated batch payload")
-        chunk = self._data[self._pos:self._pos + length]
-        self._pos += length
-        return bytes(chunk)
-
-    def string(self) -> str:
-        return self.blob().decode("utf-8")
-
-    def done(self) -> bool:
-        return self._pos == self._len
-
-
 def encode_batch(batch: TraceBatch) -> bytes:
     """Serialize the wire-visible part of a batch (indices + trace
     payloads + heartbeat digests); shard aggregates stay off the pod
@@ -247,36 +184,29 @@ def encode_batch(batch: TraceBatch) -> bytes:
     """
     out = _acquire_buffer()
     try:
-        _write_varint(out, _BATCH_FORMAT_VERSION)
-        name = batch.program_name.encode("utf-8")
-        _write_varint(out, len(name))
-        out += name
-        _write_varint(out, batch.program_version)
-        _write_varint(out, batch.shard_id)
-        _write_varint(out, batch.sequence)
+        write_varint(out, _BATCH_FORMAT_VERSION)
+        write_string(out, batch.program_name)
+        write_varint(out, batch.program_version)
+        write_varint(out, batch.shard_id)
+        write_varint(out, batch.sequence)
         context = batch.trace_context
         if context is None:
             out.append(0)
         else:
             out.append(1)
-            for part in (context.trace_id, context.span_id):
-                blob = part.encode("utf-8")
-                _write_varint(out, len(blob))
-                out += blob
-        _write_varint(out, len(batch.entries))
+            write_string(out, context.trace_id)
+            write_string(out, context.span_id)
+        write_varint(out, len(batch.entries))
         for entry in batch.entries:
-            _write_varint(out, entry.global_index)
+            write_varint(out, entry.global_index)
             heartbeat = entry.heartbeat
             if heartbeat is not None:
                 out.append(1)
-                _write_varint(out, len(heartbeat.digest))
-                out += heartbeat.digest
-                _write_varint(out, heartbeat.count)
+                write_blob(out, heartbeat.digest)
+                write_varint(out, heartbeat.count)
             else:
-                payload = entry.payload
                 out.append(0)
-                _write_varint(out, len(payload))
-                out += payload
+                write_blob(out, entry.payload)
         crc = zlib.crc32(out) & 0xFFFFFFFF
         body_len = len(out)
         out += b"\x00\x00\x00\x00"
@@ -286,6 +216,7 @@ def encode_batch(batch: TraceBatch) -> bytes:
         _release_buffer(out)
 
 
+@total_decoder("batch")
 def decode_batch(data) -> TraceBatch:
     """Inverse of :func:`encode_batch` (products do not survive
     the wire — the receiver replays, as the paper prescribes).
@@ -296,7 +227,9 @@ def decode_batch(data) -> TraceBatch:
 
     The CRC32 footer is verified *first*: a partial flush or a frame
     mangled in transit raises :class:`~repro.errors.TraceError` before
-    any entry is decoded, so callers discard it whole.
+    any entry is decoded, so callers discard it whole. Past the
+    checksum the decoder is still total: a frame whose body was mangled
+    and re-checksummed yields a batch or ``TraceError``, nothing else.
     """
     if len(data) <= _CHECKSUM_BYTES:
         raise TraceError("batch too short to carry a checksum")
@@ -304,7 +237,7 @@ def decode_batch(data) -> TraceBatch:
     body, footer = view[:-_CHECKSUM_BYTES], view[-_CHECKSUM_BYTES:]
     if (zlib.crc32(body) & 0xFFFFFFFF) != int.from_bytes(footer, "big"):
         raise TraceError("batch checksum mismatch")
-    reader = _Reader(body)
+    reader = Reader(body)
     version = reader.varint()
     if version != _BATCH_FORMAT_VERSION:
         raise TraceError(f"unsupported batch format version {version}")
@@ -330,8 +263,7 @@ def decode_batch(data) -> TraceBatch:
         else:
             entries.append(BatchEntry(global_index=global_index,
                                       payload=reader.blob()))
-    if not reader.done():
-        raise TraceError("trailing bytes after batch")
+    reader.expect_end("batch")
     return TraceBatch(shard_id=shard_id, program_name=program_name,
                       program_version=program_version, sequence=sequence,
                       entries=entries, trace_context=trace_context)

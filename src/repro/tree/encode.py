@@ -10,70 +10,24 @@ structure and counters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.errors import TraceError
-from repro.progmodel.interpreter import Outcome
+from repro.tracing.encode import OUTCOME_CODES
 from repro.tree.exectree import ExecutionTree
+from repro.wire import Reader, total_decoder, write_string, write_varint
 
 __all__ = ["encode_tree", "decode_tree", "merge_encoded"]
 
 _FORMAT_VERSION = 1
-_OUTCOMES = [Outcome.OK, Outcome.CRASH, Outcome.ASSERT, Outcome.DEADLOCK,
-             Outcome.HANG]
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise TraceError(f"varint cannot encode {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            if self._pos >= len(self._data):
-                raise TraceError("truncated tree encoding")
-            byte = self._data[self._pos]
-            self._pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-
-    def string(self) -> str:
-        length = self.varint()
-        if self._pos + length > len(self._data):
-            raise TraceError("truncated tree encoding (string)")
-        text = self._data[self._pos:self._pos + length].decode("utf-8")
-        self._pos += length
-        return text
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)
 
 
 def encode_tree(tree: ExecutionTree) -> bytes:
     """Serialize a tree's terminal paths + outcome counters."""
     out = bytearray()
-    _write_varint(out, _FORMAT_VERSION)
-    name = tree.program_name.encode("utf-8")
-    _write_varint(out, len(name))
-    out.extend(name)
-    _write_varint(out, tree.program_version)
+    write_varint(out, _FORMAT_VERSION)
+    write_string(out, tree.program_name)
+    write_varint(out, tree.program_version)
 
     # String table over function/block names.
     strings: Dict[str, int] = {}
@@ -84,42 +38,34 @@ def encode_tree(tree: ExecutionTree) -> bytes:
                 if text not in strings:
                     strings[text] = len(strings)
     table = sorted(strings, key=strings.get)
-    _write_varint(out, len(table))
+    write_varint(out, len(table))
     for text in table:
-        data = text.encode("utf-8")
-        _write_varint(out, len(data))
-        out.extend(data)
+        write_string(out, text)
 
-    _write_varint(out, len(paths))
+    write_varint(out, len(paths))
     for path, outcomes in paths:
-        _write_varint(out, len(path))
+        write_varint(out, len(path))
         for (thread, function, block), taken in path:
-            _write_varint(out, thread)
-            _write_varint(out, strings[function])
-            _write_varint(out, strings[block])
-            _write_varint(out, 1 if taken else 0)
+            write_varint(out, thread)
+            write_varint(out, strings[function])
+            write_varint(out, strings[block])
+            write_varint(out, 1 if taken else 0)
         entries = [(o, c) for o, c in outcomes.items() if c > 0]
-        _write_varint(out, len(entries))
+        write_varint(out, len(entries))
         for outcome, count in entries:
-            _write_varint(out, _OUTCOMES.index(outcome))
-            _write_varint(out, count)
+            write_varint(out, OUTCOME_CODES.index(outcome))
+            write_varint(out, count)
     return bytes(out)
 
 
+@total_decoder("tree")
 def decode_tree(data: bytes) -> ExecutionTree:
     """Rebuild a tree with identical paths and counters.
 
     Total over bytes: any input yields a tree or raises
     :class:`~repro.errors.TraceError`.
     """
-    try:
-        return _decode_tree(data)
-    except (ValueError, IndexError, KeyError, OverflowError) as error:
-        raise TraceError(f"malformed tree bytes: {error}")
-
-
-def _decode_tree(data: bytes) -> ExecutionTree:
-    reader = _Reader(data)
+    reader = Reader(data)
     version = reader.varint()
     if version != _FORMAT_VERSION:
         raise TraceError(f"unsupported tree format version {version}")
@@ -136,14 +82,13 @@ def _decode_tree(data: bytes) -> ExecutionTree:
             taken = reader.varint() == 1
             decisions.append(((thread, function, block), taken))
         for _o in range(reader.varint()):
-            outcome = _OUTCOMES[reader.varint()]
+            outcome = OUTCOME_CODES[reader.varint()]
             count = reader.varint()
             if count:
                 # One counted walk: a mangled count costs no more work
                 # than a sane one.
                 tree.insert_path(decisions, outcome, count=count)
-    if not reader.done():
-        raise TraceError("trailing bytes after tree")
+    reader.expect_end("tree")
     return tree
 
 

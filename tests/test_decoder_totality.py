@@ -8,24 +8,24 @@ error; nothing else may escape.
 """
 
 import random
+import struct
+import zlib
 
 import pytest
 
-from repro import PlatformConfig, SoftBorgPlatform
 from repro.errors import TraceError
+from repro.exec.batch import decode_batch, encode_batch
 from repro.progmodel.bugs import BugKind
 from repro.progmodel.builder import ProgramBuilder
 from repro.progmodel.corpus import (
     CorpusConfig, generate_program, make_crash_demo,
 )
-from repro.progmodel.interpreter import Interpreter, Outcome
+from repro.progmodel.interpreter import Outcome
 from repro.progmodel.ir import Const
 from repro.progmodel.serialize import decode_program, encode_program
-from repro.tracing.capture import FullCapture
 from repro.tracing.encode import decode_trace, encode_trace
 from repro.tree.encode import decode_tree, encode_tree
 from repro.tree.exectree import ExecutionTree
-from repro.workloads.scenarios import deadlock_scenario
 
 #: Replacement bytes tried at every position: low-bit flip, top-bit
 #: flip (varint continuation), complement, zero, max single-byte
@@ -62,14 +62,6 @@ def assert_total(decode, data: bytes) -> int:
     return decoded
 
 
-def _hive_tree():
-    platform = SoftBorgPlatform(deadlock_scenario(seed=2), PlatformConfig(
-        rounds=4, executions_per_round=40, fixing=False,
-        enable_proofs=False, seed=2, backend="serial"))
-    platform.run()
-    return platform.hive.tree
-
-
 class TestDecodersAreTotal:
     @pytest.mark.parametrize("program", [
         make_crash_demo().program,
@@ -93,18 +85,28 @@ class TestDecodersAreTotal:
         with pytest.raises(TraceError):
             decode_program(data[:at] + b"\x04\x00" * 5000 + data[at:])
 
-    def test_decode_tree(self):
-        tree = _hive_tree()
-        assert tree.path_count > 1
-        data = encode_tree(tree)
-        assert decode_tree(data).canonical_paths() == tree.canonical_paths()
+    def test_decode_tree(self, hive_tree):
+        assert hive_tree.path_count > 1
+        data = encode_tree(hive_tree)
+        assert (decode_tree(data).canonical_paths()
+                == hive_tree.canonical_paths())
         assert_total(decode_tree, data)
 
-    def test_decode_trace(self):
-        demo = make_crash_demo()
-        result = Interpreter(demo.program).run({"n": 7, "mode": 2})
-        data = encode_trace(FullCapture().capture(result, pod_id="p"))
-        assert_total(decode_trace, data)
+    def test_decode_trace(self, crash_demo_trace):
+        assert_total(decode_trace, encode_trace(crash_demo_trace))
+
+    def test_decode_batch(self, live_frame):
+        # Mutate the body and recompute the CRC32 footer: with a stale
+        # footer the checksum would reject every mutant before the body
+        # is read. Receivers decode over a memoryview, so do the same.
+        body = encode_batch(live_frame)[:-4]
+
+        def decode_rechecksummed(mutant: bytes):
+            frame = mutant + struct.pack(">I", zlib.crc32(mutant))
+            return decode_batch(memoryview(frame))
+
+        assert decode_rechecksummed(body).entries
+        assert_total(decode_rechecksummed, body)
 
     def test_huge_tree_count_costs_one_walk(self):
         # A mangled count varint can claim hundreds of millions of

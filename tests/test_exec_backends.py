@@ -585,22 +585,6 @@ class TestIngestSurface:
         hive.ingest_trace(_trace(demo.program, {"n": 1, "mode": 2}))
         assert hive.stats.traces_ingested == 1
 
-    def test_deprecated_alias_names_removal_version(self):
-        from repro.interfaces import deprecated_alias
-
-        class Thing:
-            def new_name(self):
-                return "ok"
-
-            @deprecated_alias("new_name", removal_version="v9")
-            def old_name(self):
-                return self.new_name()
-
-        with pytest.warns(DeprecationWarning) as caught:
-            assert Thing().old_name() == "ok"
-        message = str(caught[0].message)
-        assert "new_name" in message and "v9" in message
-
     def test_ingest_batch_matches_trace_by_trace(self):
         demo = make_crash_demo()
         traces = [_trace(demo.program, {"n": n, "mode": 2})
