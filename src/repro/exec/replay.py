@@ -1,13 +1,16 @@
-"""Memoized trace replay: each distinct recorded execution replays once.
+"""Memoized executions: what a shard already knows, it does not redo.
 
-Replaying a trace (``Interpreter.replay``) is a pure function of the
-program, the execution limits and three recorded fields: the branch
-bits, the syscall returns and the schedule. A fleet runs the same few
-paths over and over, so the shard collector and the hive each keep one
-:class:`ReplayMemo` keyed on exactly those three fields and replay only
-what they have not yet seen under their current program.
+Two memos live here, both owned per shard (and, for replay, by the
+hive too), both bounded by :func:`~repro.memo.memo_lookup`'s
+oldest-first eviction, so an evicted key just computes again.
 
-A hit cannot change a value:
+**Replay** (:class:`ReplayMemo`). Replaying a trace
+(``Interpreter.replay``) is a pure function of the program, the
+execution limits and three recorded fields: the branch bits, the
+syscall returns and the schedule. A fleet runs the same few paths over
+and over, so the shard collector and the hive each keep one memo keyed
+on exactly those three fields and replay only what they have not yet
+seen under their current program. A hit cannot change a value:
 
 * the key covers everything the replay reads from the trace;
 * the program is fixed per memo (:meth:`ReplayMemo.reset` clears the
@@ -18,23 +21,48 @@ A hit cannot change a value:
 * a replay that raised :class:`~repro.errors.TraceError` is stored as a
   failure marker, so a repeat fails the same way without re-running.
 
-The memo holds at most :data:`REPLAY_MEMO_CAPACITY` keys and evicts the
-oldest first; an evicted key just replays again.
+The memo holds at most :data:`REPLAY_MEMO_CAPACITY` keys.
+
+**Pod runs** (:class:`RunMemo`). A natural pod run (no directive) is a
+pure function of the program, the limits, the fault rate, the capture
+policy and the inputs whenever it drew nothing from its three random
+streams (environment, scheduler, user feedback) and its capture policy
+draws nothing of its own: :attr:`repro.rng.LazyRandom.drawn` witnesses
+the streams, :attr:`~repro.tracing.capture.CapturePolicy.memoizable`
+the policy. A later run with the same inputs takes the same first
+step, so by induction over steps it follows the same path and again
+draws nothing: its result, trace content and feedback are the recorded
+ones. :meth:`repro.pod.Pod.execute` serves such a run from the memo
+without interpreting, capturing or encoding it, and still draws its
+three child seeds and counts every metric a run counts, so a hit
+cannot be told from a miss. The key is the program's identity and the
+inputs; the entry holds the program, capture policy and limits it was
+recorded under, and a hit requires the very same objects and an equal
+fault rate. A key is admitted on its second sighting only, so
+one-off inputs (most of a high-diversity corpus run) cost a seen-set
+slot instead of a stored result; :data:`RUN_SEEN_CAPACITY` bounds the
+seen-set and :data:`RUN_MEMO_CAPACITY` the memo.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, TypeVar
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.errors import TraceError
 from repro.exec.batch import ReplayProduct
+from repro.memo import memo_lookup
 from repro.progmodel.interpreter import (
-    ExecutionLimits, Interpreter, ReplaySource,
+    ExecutionLimits, ExecutionResult, Interpreter, ReplaySource,
 )
 from repro.progmodel.ir import Program
+from repro.tracing.capture import CapturePolicy
+from repro.tracing.outcome import UserFeedback
 from repro.tracing.trace import Trace
 
-__all__ = ["REPLAY_MEMO_CAPACITY", "ReplayMemo", "memo_lookup"]
+__all__ = ["REPLAY_MEMO_CAPACITY", "RUN_MEMO_CAPACITY", "RUN_SEEN_CAPACITY",
+           "KnownRun", "ReplayMemo", "RunMemo"]
 
 #: Distinct replay keys one memo keeps. A round explores a handful of
 #: paths per program version: the perfbench runs peak at 3 (crash-fleet,
@@ -42,23 +70,13 @@ __all__ = ["REPLAY_MEMO_CAPACITY", "ReplayMemo", "memo_lookup"]
 #: caps memory on longer runs over programs with many paths.
 REPLAY_MEMO_CAPACITY = 512
 
+#: Pure pod runs one shard's :class:`RunMemo` keeps, and the keys it
+#: remembers having seen once. See :class:`RunMemo` for the peaks the
+#: perfbench workloads reach.
+RUN_MEMO_CAPACITY = 512
+RUN_SEEN_CAPACITY = 2048
+
 _FAILED = object()          # memoized TraceError
-
-V = TypeVar("V")
-
-
-def memo_lookup(table: Dict[object, V], key: object,
-                compute: Callable[[], V], capacity: int) -> V:
-    """``table[key]``, computed and stored on a miss. The table keeps at
-    most ``capacity`` keys and evicts the oldest first; an exception
-    from ``compute`` propagates and stores nothing."""
-    value = table.get(key)
-    if value is None:
-        value = compute()
-        if len(table) >= capacity:
-            del table[next(iter(table))]
-        table[key] = value
-    return value
 
 
 class ReplayMemo:
@@ -107,3 +125,62 @@ class ReplayMemo:
             final_globals=dict(result.final_globals),
             return_values=dict(result.return_values),
         )
+
+
+@dataclass(frozen=True)
+class KnownRun:
+    """One pure natural run and the pod configuration it ran under.
+
+    ``result`` and ``trace`` are shared by every run the entry serves;
+    no consumer of :class:`~repro.pod.PodRun` mutates them.
+    """
+
+    program: Program
+    capture: CapturePolicy
+    limits: ExecutionLimits
+    fault_rate: float
+    result: ExecutionResult
+    trace: Trace
+    feedback: UserFeedback
+
+    def serves(self, pod) -> bool:
+        """Whether ``pod`` runs under exactly this configuration."""
+        return (self.program is pod.program and self.capture is pod.capture
+                and self.limits is pod.limits
+                and self.fault_rate == pod.fault_rate)
+
+
+class RunMemo:
+    """Pure natural pod runs of one shard, keyed on
+    ``(id(program), tuple(inputs.items()))``.
+
+    :meth:`admit` stores a run the second time its key is offered; the
+    first offer only enters the key into a bounded seen-set.
+    """
+
+    def __init__(self) -> None:
+        self._runs: Dict[tuple, KnownRun] = {}
+        # Large, and on a diverse workload mostly one-off keys: an
+        # OrderedDict keeps its oldest-first eviction O(1).
+        self._seen: Dict[tuple, bool] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._runs)
+
+    def get(self, key: tuple) -> Optional[KnownRun]:
+        return self._runs.get(key)
+
+    def admit(self, key: tuple, pod, result: ExecutionResult, trace: Trace,
+              feedback: UserFeedback) -> None:
+        """Offer a pure run of ``pod``; it is stored on its key's second
+        offer, under the pod's configuration."""
+        if self._seen.pop(key, False):
+            memo_lookup(self._runs, key, lambda: KnownRun(
+                pod.program, pod.capture, pod.limits, pod.fault_rate,
+                result, trace, feedback), RUN_MEMO_CAPACITY)
+        else:
+            memo_lookup(self._seen, key, _true, RUN_SEEN_CAPACITY)
+
+
+def _true() -> bool:
+    return True

@@ -15,7 +15,9 @@ so each pod's RNG stream and dedup state advance exactly as under the
 historical serial loop; the replay it performs is the same
 ``Interpreter.replay`` the hive would have run, against the same
 program version, memoized per distinct recorded content
-(:mod:`repro.exec.replay`).
+(:mod:`repro.exec.replay`). A pod run whose result the shard already
+knows to be pure is served from the shard's run memo, which draws the
+same pod RNG seeds and counts the same metrics as running it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.exec.batch import (
     BatchAccumulator, BatchEntry, ReplayProduct, RunRecord, ShardResult,
 )
 from repro.exec.plan import PlannedRun
-from repro.exec.replay import ReplayMemo
+from repro.exec.replay import ReplayMemo, RunMemo
 from repro.obs.trace import NULL_SPAN, SpanContext, get_tracer
 from repro.pod.pod import Pod
 from repro.progmodel.interpreter import ExecutionLimits, Outcome
@@ -55,6 +57,8 @@ class Shard:
         self.limits = limits or ExecutionLimits()
         # Replays target the hive's program, memoized per content.
         self._replays = ReplayMemo(hive_program, self.limits)
+        # Pure natural pod runs, served again without interpreting.
+        self._runs = RunMemo()
         self.batch_max_traces = batch_max_traces
         self.collect_tree = collect_tree
         # Service mode turns shard-side replay off: products never
@@ -153,7 +157,8 @@ class Shard:
             with span:
                 try:
                     run = pod.execute(planned.inputs,
-                                      directive=planned.directive)
+                                      directive=planned.directive,
+                                      memo=self._runs)
                 except Exception as error:
                     # One broken execution must not take the whole shard
                     # (and, for the process backend, the whole worker)

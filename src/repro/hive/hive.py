@@ -12,7 +12,8 @@ from repro.analysis.invariants import InvariantMiner
 from repro.analysis.races import RaceAnalyzer
 from repro.config import BaseReport
 from repro.errors import TraceError
-from repro.exec.replay import ReplayMemo, memo_lookup
+from repro.exec.replay import ReplayMemo
+from repro.memo import memo_lookup
 from repro.obs import Instrumented
 from repro.obs.trace import get_tracer
 from repro.fixes.deadlock_immunity import synthesize_immunity_fix

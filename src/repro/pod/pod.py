@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.guidance.steering import SteeringDirective
 from repro.obs import Instrumented
@@ -18,6 +18,9 @@ from repro.sched.scheduler import (
 from repro.tracing.capture import CapturePolicy, FullCapture
 from repro.tracing.outcome import UserFeedback, infer_feedback
 from repro.tracing.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.exec.replay import KnownRun, RunMemo
 
 __all__ = ["Pod", "PodRun"]
 
@@ -75,21 +78,35 @@ class Pod(Instrumented):
             self._obs_updates.inc()
 
     def execute(self, inputs: Dict[str, int],
-                directive: Optional[SteeringDirective] = None) -> PodRun:
-        """Run the program once: naturally, or under a directive."""
+                directive: Optional[SteeringDirective] = None,
+                memo: Optional["RunMemo"] = None) -> PodRun:
+        """Run the program once: naturally, or under a directive.
+
+        ``memo`` is the owning shard's :class:`~repro.exec.replay.RunMemo`:
+        a natural run it already knows is pure is served from it, and a
+        natural run that turns out pure is offered to it.
+        """
         guided = directive is not None
+        key = None
+        if memo is not None and not guided and self.capture.memoizable:
+            key = (id(self.program), tuple(inputs.items()))
+            known = memo.get(key)
+            if known is not None and known.serves(self):
+                return self._repeat(known)
         if guided and directive.inputs is not None:
             inputs = self._clamp_inputs(directive.inputs)
 
         fault_plan = None
         if guided and directive.fault_plan is not None:
             fault_plan = directive.fault_plan
+        env_rng = self._spawn_rng("env")
         environment = Environment(
-            rng=self._spawn_rng("env"),
+            rng=env_rng,
             fault_rate=0.0 if fault_plan else self.fault_rate,
             fault_plan=fault_plan,
         )
 
+        sched_rng = None
         if guided and directive.schedule_picks is not None:
             # Re-drive the program down a previously observed dangerous
             # interleaving (best effort: the pick sequence is followed
@@ -105,20 +122,44 @@ class Pod(Instrumented):
                 n_threads=len(self.program.threads), depth=3,
                 max_steps=horizon, seed=directive.pct_seed)
         else:
-            rng = self._spawn_rng("sched")
+            sched_rng = self._spawn_rng("sched")
             # Threads never spawn at run time, so a one-thread program
             # always has exactly one runnable thread: nothing to draw.
             scheduler = (RoundRobinScheduler()
                          if len(self.program.threads) == 1
-                         else RandomScheduler(rng=rng))
+                         else RandomScheduler(rng=sched_rng))
 
         with self._obs_execute.time():
             result = Interpreter(self.program, limits=self.limits).run(
                 inputs, environment=environment, scheduler=scheduler)
             trace = self.capture.capture(result, pod_id=self.pod_id,
                                          guided=guided)
-        feedback = infer_feedback(result, rng=self._spawn_rng("fb"),
+        fb_rng = self._spawn_rng("fb")
+        feedback = infer_feedback(result, rng=fb_rng,
                                   max_steps=self.limits.max_steps)
+        if key is not None and not (env_rng.drawn or sched_rng.drawn
+                                    or fb_rng.drawn):
+            memo.admit(key, self, result, trace, feedback)
+        return self._finish(result, trace, feedback, guided)
+
+    def _repeat(self, known: "KnownRun") -> PodRun:
+        """Serve a natural run whose outcome ``known`` already holds.
+
+        The pod stream advances by the three 64-bit child seeds a run
+        draws (env, sched, fb; one 192-bit draw takes the same six
+        32-bit words), and every metric counts as for a run, so the
+        rest of this pod's life cannot tell a hit from a miss.
+        """
+        with self._obs_execute.time():
+            self._rng.getrandbits(192)
+            trace = known.trace
+            if trace.pod_id != self.pod_id:
+                trace = trace.with_pod(self.pod_id)
+            self.capture.account(trace)
+        return self._finish(known.result, trace, known.feedback, False)
+
+    def _finish(self, result: ExecutionResult, trace: Trace,
+                feedback: UserFeedback, guided: bool) -> PodRun:
         self.runs += 1
         self._obs_executions.inc()
         self._obs_steps.observe(result.steps)

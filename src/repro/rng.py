@@ -60,6 +60,13 @@ class LazyRandom:
     def __init__(self, seed: int):
         self._seed = seed
 
+    @property
+    def drawn(self) -> bool:
+        """Whether anything was asked of the generator yet. ``False``
+        proves the stream's output reached nothing: every draw, and
+        every other public attribute, builds the generator first."""
+        return self._rng is not None
+
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)

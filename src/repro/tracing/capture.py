@@ -32,6 +32,11 @@ class CapturePolicy:
 
     name = "abstract"
     _obs_handles = None
+    #: Whether a pure run's trace may be served again from a
+    #: :class:`~repro.exec.replay.RunMemo`: the policy draws no
+    #: randomness of its own and accounts a trace with one
+    #: :meth:`account` call, which a served run repeats.
+    memoizable = True
 
     def capture(self, result: ExecutionResult, pod_id: str = "",
                 guided: bool = False) -> Trace:
@@ -107,6 +112,7 @@ class SampledCapture(CapturePolicy):
     """
 
     name = "sampled"
+    memoizable = False          # draws its sample from its own stream
 
     def __init__(self, rate: int, rng: Optional[random.Random] = None,
                  seed: int = 0):
@@ -148,6 +154,7 @@ class PrivacyTruncatedCapture(CapturePolicy):
     """
 
     name = "privacy_truncated"
+    memoizable = False          # also accounts its inner full capture
 
     def __init__(self, max_bits: int, include_schedule: bool = True):
         if max_bits < 0:

@@ -10,7 +10,7 @@ by hive-side replay, which is the paper's central cost-saving claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.progmodel.interpreter import ExecutionResult, Outcome
@@ -66,7 +66,13 @@ class Trace:
         return tuple(picks)
 
     def with_pod(self, pod_id: str) -> "Trace":
-        return replace(self, pod_id=pod_id)
+        """The same trace shipped by ``pod_id``. The content memos
+        cached on this trace (the encoder's wire prefix, the dedup
+        digest) leave the pod id out, so the copy keeps them."""
+        clone = object.__new__(Trace)
+        vars(clone).update(vars(self))
+        vars(clone)["pod_id"] = pod_id
+        return clone
 
     def cost(self) -> int:
         """Pod-side recording cost (items logged)."""
