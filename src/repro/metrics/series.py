@@ -18,6 +18,7 @@ Everything stays deterministic: values in, values out, no clocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -61,7 +62,7 @@ class Series:
 
     def mean_y(self) -> float:
         ys = self.ys()
-        return sum(ys) / len(ys) if ys else 0.0
+        return math.fsum(ys) / len(ys) if ys else 0.0
 
     def max_y(self) -> float:
         ys = self.ys()
@@ -95,10 +96,10 @@ class Series:
 
     def window_mean(self, last_n: int) -> float:
         ys = self.window(last_n)
-        return sum(ys) / len(ys) if ys else 0.0
+        return math.fsum(ys) / len(ys) if ys else 0.0
 
     def window_sum(self, last_n: int) -> float:
-        return sum(self.window(last_n))
+        return math.fsum(self.window(last_n))
 
     def window_max(self, last_n: int) -> float:
         ys = self.window(last_n)
@@ -136,12 +137,13 @@ class Series:
         rows: List[Dict[str, float]] = []
         for index in sorted(buckets):
             ys = buckets[index]
+            total = math.fsum(ys)
             rows.append({
                 "start": index * bucket_width,
                 "end": (index + 1) * bucket_width,
                 "count": float(len(ys)),
-                "sum": sum(ys),
-                "mean": sum(ys) / len(ys),
+                "sum": total,
+                "mean": total / len(ys),
                 "min": min(ys),
                 "max": max(ys),
             })

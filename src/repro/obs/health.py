@@ -45,6 +45,7 @@ format, the burn-rate math, and the determinism guarantees.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -90,7 +91,7 @@ def burn_rate(values: Sequence[float], budget: float) -> float:
     """
     if not values:
         return 0.0
-    mean = sum(values) / len(values)
+    mean = math.fsum(values) / len(values)
     if budget <= 0.0:
         return float("inf") if mean > 0.0 else 0.0
     return mean / budget
