@@ -12,6 +12,12 @@ under a pinned clock instead. A change that claims to keep behaviour
 identical must print the same lines before and after it: run the
 script on both trees and ``diff`` the outputs.
 
+``benchmarks/identity_grid.expected`` records the lines the current
+tree prints, on every supported Python version; CI diffs a fresh grid
+against it. A change that moves a row on purpose rewrites the file
+(``--out benchmarks/identity_grid.expected``) and says which rows
+moved and why.
+
 Every row runs on the serial backend and on the process backend, with
 two workers for platform rows and one for serve rows. The exit code is
 non-zero when a serve row's snapshot digest, with ``config.backend``
