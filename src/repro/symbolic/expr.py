@@ -21,19 +21,23 @@ docs/PERFORMANCE.md for the invariant argument).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Mapping, Optional
 
 from repro.errors import SymbolicError
+from repro.memo import memo_lookup
 from repro.progmodel.ir import BinOp, Const, Expr, Input, UnOp, Var
 
 __all__ = ["apply_op", "fold", "substitute", "eval_concrete", "is_const",
            "intern_expr"]
 
-# Hash-consing table: structural key -> canonical node. Bounded by a
-# wholesale clear (entries are pure caches; losing them loses sharing,
-# never correctness), sized far above any single program's expression
-# population so a clear only happens on pathological fleet churn.
-_INTERN: Dict[tuple, Expr] = {}
+# Hash-consing table: structural key -> canonical node. Bounded by
+# oldest-first eviction (entries are pure caches; losing one loses
+# sharing, never correctness, since distinct identity proves nothing),
+# sized far above any single program's expression population so
+# eviction only happens on pathological fleet churn. An OrderedDict,
+# so each eviction costs O(1) instead of a scan past emptied slots.
+_INTERN: Dict[tuple, Expr] = OrderedDict()
 _INTERN_MAX = 1 << 16
 
 # Small-integer constants are by far the most common leaves.
@@ -48,14 +52,7 @@ def intern_expr(expr: Expr) -> Expr:
     (distinct identity) proves nothing, callers still fall back to
     ``key()`` comparison.
     """
-    key = expr.key()
-    cached = _INTERN.get(key)
-    if cached is not None:
-        return cached
-    if len(_INTERN) >= _INTERN_MAX:
-        _INTERN.clear()
-    _INTERN[key] = expr
-    return expr
+    return memo_lookup(_INTERN, expr.key(), lambda: expr, _INTERN_MAX)
 
 
 def _const(value: int) -> Const:

@@ -14,7 +14,10 @@ from repro.progmodel.bugs import BugKind
 from repro.progmodel.interpreter import Interpreter, Outcome
 from repro.progmodel.ir import BinOp, Const, Input, Var, c, v
 from repro.symbolic.engine import SymbolicEngine, SymbolicLimits
-from repro.symbolic.expr import apply_op, eval_concrete, fold, substitute
+from repro.symbolic import expr as expr_module
+from repro.symbolic.expr import (
+    apply_op, eval_concrete, fold, intern_expr, substitute,
+)
 from repro.symbolic.pathcond import PathCondition
 from repro.symbolic.relaxed import compare_unit_explorations
 from repro.symbolic.solver import EnumerationSolver
@@ -69,6 +72,32 @@ class TestExprUtilities:
     def test_fold_agrees_with_eval(self, a, b, op):
         expr = BinOp(op, Const(a), Const(b))
         assert fold(expr).value == eval_concrete(expr, {})
+
+
+class TestInternTable:
+    @staticmethod
+    def _verdicts(program):
+        return [
+            (path.decisions, path.outcome, path.failure_message,
+             path.example_inputs,
+             [(expr.key(), truth) for expr, truth in path.condition.constraints])
+            for path in SymbolicEngine(program).explore()]
+
+    def test_flood_past_capacity_stays_bounded(self, monkeypatch):
+        seeded = generate_program(
+            "intern", CorpusConfig(seed=5, n_segments=5), (BugKind.CRASH,))
+        expected = self._verdicts(seeded.program)
+        monkeypatch.setattr(expr_module, "_INTERN", type(expr_module._INTERN)())
+        monkeypatch.setattr(expr_module, "_INTERN_MAX", 64)
+        for value in range(5000):
+            node = intern_expr(BinOp("+", Input("flood"), Const(value)))
+            assert len(expr_module._INTERN) <= 64
+        # The newest node is still canonical; the oldest was evicted.
+        assert intern_expr(BinOp("+", Input("flood"), Const(4999))) is node
+        assert len(expr_module._INTERN) == 64
+        # Exploring under constant eviction finds the same paths.
+        assert self._verdicts(seeded.program) == expected
+        assert len(expr_module._INTERN) <= 64
 
 
 class TestPathCondition:
