@@ -36,6 +36,7 @@ from repro.exec.batch import (
 from repro.exec.plan import PlannedRun
 from repro.progmodel.interpreter import Outcome
 from repro.progmodel.ir import Program
+from repro.wire import total_decoder
 
 __all__ = [
     "SyncDelta", "SessionLog",
@@ -139,6 +140,7 @@ def pack_runs(runs: Sequence[PlannedRun]) -> tuple:
     return (inputs_table, rows, directives)
 
 
+@total_decoder("packed runs")
 def unpack_runs(packed: tuple) -> List[PlannedRun]:
     inputs_table, rows, directives = packed
     return [
@@ -215,6 +217,7 @@ def pack_result(result: ShardResult) -> tuple:
     )
 
 
+@total_decoder("packed shard result")
 def unpack_result(packed: tuple) -> ShardResult:
     (shard_id, (outcomes, record_rows, failures),
      (products, batch_rows), tree_version, tree_delta,

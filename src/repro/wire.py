@@ -17,7 +17,9 @@ anything else — on truncation or bad UTF-8. :func:`total_decoder` folds
 whatever a codec's own decode logic can trip over on mangled input
 (a bad table index, IR validation, deep recursion) into that same
 error, so every decoder is total over bytes: any input yields a value
-or ``TraceError``.
+or ``TraceError``. The session's pipe unpackers
+(``repro.exec.session``) take pickled tuples, not bytes, and are total
+over those the same way.
 """
 
 from __future__ import annotations
@@ -149,9 +151,10 @@ class Reader:
 #: What a decoder's own logic can raise on mangled input once the
 #: reader has vouched for framing: an out-of-range table index, a
 #: missing key, IR validation (``ProgramModelError``), a too-deep
-#: expression.
+#: expression; and, for the session's packed tuples, a row of the
+#: wrong shape or a field of the wrong type.
 _UNTYPED = (ProgramModelError, ValueError, IndexError, KeyError,
-            OverflowError, RecursionError)
+            OverflowError, RecursionError, TypeError, AttributeError)
 
 
 def total_decoder(what: str) -> Callable[[Callable], Callable]:

@@ -64,3 +64,24 @@ def live_frame():
     finally:
         set_tracer(previous)
     return frames[0]
+
+
+@pytest.fixture(scope="session")
+def live_round():
+    """One crash-platform round as a process worker sees it: the plan's
+    runs and the shard's result, with dedup heartbeats and replay
+    products."""
+    rounds = []
+    platform = SoftBorgPlatform(crash_scenario(seed=3), PlatformConfig(
+        rounds=1, executions_per_round=60, dedup=True, fixing=False,
+        enable_proofs=False, seed=3, backend="serial"))
+    run_round = platform.backend.run_round
+
+    def record(plan):
+        results = run_round(plan)
+        rounds.append((plan.runs, results[0]))
+        return results
+
+    platform.backend.run_round = record
+    platform.run()
+    return rounds[0]

@@ -3,8 +3,11 @@
 Each decoder is fed deterministic mutants of live encodings — a single
 byte replaced at every position, every truncation, a continuation byte
 inserted at every position, and a seeded batch of multi-byte
-corruptions. Every mutant must decode or raise the module's one typed
-error; nothing else may escape.
+corruptions. The session's pipe unpackers take packed tuples instead
+of bytes; they are fed every variant of a live packed round with one
+node swapped for a wrong-typed stand-in, or one row cut short or grown.
+Every mutant must decode or raise the module's one typed error;
+nothing else may escape.
 """
 
 import random
@@ -15,6 +18,9 @@ import pytest
 
 from repro.errors import TraceError
 from repro.exec.batch import decode_batch, encode_batch
+from repro.exec.session import (
+    pack_result, pack_runs, unpack_result, unpack_runs,
+)
 from repro.progmodel.bugs import BugKind
 from repro.progmodel.builder import ProgramBuilder
 from repro.progmodel.corpus import (
@@ -50,10 +56,35 @@ def mutants(data: bytes, seed: int = 0, random_mutants: int = 200):
         yield bytes(mutant)
 
 
-def assert_total(decode, data: bytes) -> int:
+#: Stand-ins tried for every node of a packed tuple: wrong types, a
+#: negative and an oversized index, empty containers.
+_SUBSTITUTES = (None, -1, 1 << 70, "x", b"\x00", (), [], {})
+
+
+def packed_mutants(value):
+    """Every variant of a packed value with one node replaced, or one
+    tuple or list cut short or grown by a repeat of its last item."""
+    for substitute in _SUBSTITUTES:
+        if type(substitute) is not type(value) or substitute != value:
+            yield substitute
+    if isinstance(value, (tuple, list)):
+        rebuild = type(value)
+        for index, item in enumerate(value):
+            for mutant in packed_mutants(item):
+                yield value[:index] + rebuild([mutant]) + value[index + 1:]
+        if value:
+            yield value[:-1]
+            yield value + rebuild([value[-1]])
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            for mutant in packed_mutants(item):
+                yield {**value, key: mutant}
+
+
+def assert_total(decode, data, mutate=mutants) -> int:
     """Decode every mutant of ``data``; returns how many decoded."""
     decoded = 0
-    for mutant in mutants(data):
+    for mutant in mutate(data):
         try:
             decode(mutant)
         except TraceError:
@@ -107,6 +138,20 @@ class TestDecodersAreTotal:
 
         assert decode_rechecksummed(body).entries
         assert_total(decode_rechecksummed, body)
+
+    def test_unpack_runs(self, live_round):
+        runs, _result = live_round
+        packed = pack_runs(runs)
+        assert unpack_runs(packed) == list(runs)
+        assert assert_total(unpack_runs, packed, packed_mutants)
+
+    def test_unpack_result(self, live_round):
+        _runs, result = live_round
+        packed = pack_result(result)
+        assert result.records and result.batches
+        assert any(entry.heartbeat for entry in result.batches[0].entries)
+        assert unpack_result(packed).records == result.records
+        assert assert_total(unpack_result, packed, packed_mutants)
 
     def test_huge_tree_count_costs_one_walk(self):
         # A mangled count varint can claim hundreds of millions of
