@@ -71,8 +71,9 @@ __all__ = ["REPLAY_MEMO_CAPACITY", "RUN_MEMO_CAPACITY", "RUN_SEEN_CAPACITY",
 REPLAY_MEMO_CAPACITY = 512
 
 #: Pure pod runs one shard's :class:`RunMemo` keeps, and the keys it
-#: remembers having seen once. See :class:`RunMemo` for the peaks the
-#: perfbench workloads reach.
+#: remembers having seen once. The perfbench runs peak at 40 runs and
+#: 19 seen keys (crash-fleet), 68 and 27 (serve-stream) and 139 and
+#: 1,087 (corpus-hunt), and never evict.
 RUN_MEMO_CAPACITY = 512
 RUN_SEEN_CAPACITY = 2048
 
