@@ -17,6 +17,7 @@ import pytest
 
 from repro import PlatformConfig, SoftBorgPlatform
 from repro.exec import replay as replay_module
+from repro.exec.plan import PlannedRun
 from repro.exec.replay import RunMemo
 from repro.exec.shard import Shard
 from repro.fixes.patches import SiteRecoveryFix
@@ -292,7 +293,6 @@ class TestShardsUseTheMemo:
         program = make_crash_demo().program
         shard = Shard(0, {0: Pod("pod-0", program)}, hive_program=program)
         memo = shard._runs
-        from repro.exec.plan import PlannedRun
         runs = [PlannedRun(global_index=i, pod_index=0,
                            inputs={"n": i % 3, "mode": 1})
                 for i in range(12)]
