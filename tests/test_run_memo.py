@@ -284,10 +284,11 @@ class TestShardsUseTheMemo:
         with mock.patch.object(Interpreter, "run", autospec=True,
                                side_effect=Interpreter.run) as calls:
             memoized = snapshot()
-            served_runs = calls.call_count
+            interpreted = calls.call_count
             with mock.patch.object(RunMemo, "get", return_value=None):
                 assert snapshot() == memoized
-        assert served_runs < calls.call_count - served_runs
+        # The memoized run interpreted fewer runs than the unserved one.
+        assert interpreted < calls.call_count - interpreted
 
     def test_shard_owns_one_memo_across_rounds(self):
         program = make_crash_demo().program
