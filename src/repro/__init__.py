@@ -44,7 +44,7 @@ _EXPORTS = {
     "PlatformConfig": "repro.platform",
     "PlatformReport": "repro.platform",
     "RoundStats": "repro.platform",
-    "SNAPSHOT_SCHEMA_VERSION": "repro.platform",
+    "SNAPSHOT_SCHEMA_VERSION": "repro.loop",
     "NetworkedPlatform": "repro.netplatform",
     "NetworkedConfig": "repro.netplatform",
     "Fleet": "repro.fleet",
@@ -53,7 +53,6 @@ _EXPORTS = {
     "BaseReport": "repro.config",
     "ExecutorBackend": "repro.exec",
     "SerialBackend": "repro.exec",
-    "ThreadBackend": "repro.exec",
     "ProcessBackend": "repro.exec",
     "TraceBatch": "repro.exec",
     "make_backend": "repro.exec",
@@ -126,17 +125,17 @@ def __dir__():
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.config import BaseConfig, BaseReport
     from repro.exec import (
-        ExecutorBackend, ProcessBackend, SerialBackend, ThreadBackend,
-        TraceBatch, make_backend,
+        ExecutorBackend, ProcessBackend, SerialBackend, TraceBatch,
+        make_backend,
     )
     from repro.fleet import Fleet, FleetReport
     from repro.hive import Hive, explore_cooperatively
     from repro.interfaces import TraceSink, TraceSource
     from repro.netplatform import NetworkedConfig, NetworkedPlatform
     from repro.obs import Instrumented, Registry, get_registry
+    from repro.loop import SNAPSHOT_SCHEMA_VERSION
     from repro.platform import (
-        SNAPSHOT_SCHEMA_VERSION, PlatformConfig, PlatformReport,
-        RoundStats, SoftBorgPlatform,
+        PlatformConfig, PlatformReport, RoundStats, SoftBorgPlatform,
     )
     from repro.pod import Pod
     from repro.progmodel import (

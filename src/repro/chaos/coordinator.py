@@ -135,8 +135,8 @@ class ChaosCoordinator(Instrumented):
         """Run ``plan`` on ``backend`` under worker-death faults.
 
         Returns the shard results of the initial dispatch and of every
-        retry wave, in dispatch order, with the records and batch
-        entries of dead runs stripped: every planned run except the
+        retry wave, in dispatch order, with the records and entries of
+        dead runs stripped: every planned run except the
         (rare) permanently lost ones appears exactly once. Cache deltas
         survive untouched — even from waves whose results died — since
         they ride the (reliable) coordinator channel, not the worker's
@@ -158,9 +158,7 @@ class ChaosCoordinator(Instrumented):
         results = [replace(
             result,
             records=[record for record in result.records if alive(record)],
-            batches=[replace(batch, entries=[entry for entry in batch.entries
-                                             if alive(entry)])
-                     for batch in result.batches])
+            entries=[entry for entry in result.entries if alive(entry)])
             for result in results]
 
         stats.worker_deaths = len(dead)
@@ -195,7 +193,7 @@ class ChaosCoordinator(Instrumented):
                     # advanced, the results are gone. Next wave starts
                     # over.
                     wave_span.set(died=True)
-                    results.extend(replace(result, records=[], batches=[])
+                    results.extend(replace(result, records=[], entries=[])
                                    for result in wave)
                     continue
             results.extend(wave)

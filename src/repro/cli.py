@@ -21,7 +21,7 @@ The common "kick the tires" flows:
 * ``explore`` — cooperative symbolic exploration of a corpus program.
 
 Flags shared by every execution-shaped command (``--backend``,
-``--workers``, ``--batch-traces``, ``--solver-cache``, ``--chaos``)
+``--workers``, ``--solver-cache``, ``--chaos``)
 are defined **once**, in :func:`common_exec_flags`, and inherited via
 argparse parent parsers — per-command defaults are applied with
 ``set_defaults`` so the definitions never fork.
@@ -46,26 +46,23 @@ def common_exec_flags() -> argparse.ArgumentParser:
     """The execution-substrate flags every loop command inherits.
 
     One definition, many subcommands: ``parents=[common_exec_flags()]``
-    gives a command ``--backend/--workers/--batch-traces/--solver-cache/
-    --chaos`` with uniform help text and choices. Override a default for
+    gives a command ``--backend/--workers/--solver-cache/--chaos`` with
+    uniform help text and choices. Override a default for
     one command with ``set_defaults`` (parser-level defaults beat
     argument-level ones), never by redefining the flag.
     """
     from repro.chaos import profile_names
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "thread", "process"],
+                        choices=["auto", "serial", "process"],
                         help="execution backend (auto = $REPRO_BACKEND"
                              " or serial); reports are bit-identical"
                              " across backends for a fixed seed")
     parent.add_argument("--workers", type=int, default=0,
-                        help="worker shards for thread/process backends"
+                        help="worker shards for the process backend"
                              " (0 = auto: one worker per core,"
                              " os.cpu_count(), capped at the pod"
                              " count; same rule on run/chaos/serve)")
-    parent.add_argument("--batch-traces", type=int, default=0,
-                        help="max traces per shard batch flush (0 = one"
-                             " flush per round)")
     parent.add_argument("--solver-cache", default="none",
                         choices=["none", "local", "collective"],
                         help="constraint recycling: local = per-engine"
@@ -111,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                           " every round; exit non-zero on violation")
     run.add_argument("--json", action="store_true",
                      help="emit the unified config/report/obs snapshot"
-                          " as JSON instead of tables (schema v3)")
+                          " as JSON instead of tables (schema v4)")
     run.add_argument("--trace", metavar="PATH", default=None,
                      help="record causal spans for the run and write a"
                           " Chrome trace-event file (load in Perfetto /"
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
              " hot functions; --out saves the raw .pstats artifact"
              " (see docs/PERFORMANCE.md). The profiler observes this"
              " process, so the serial backend gives the full picture"
-             " while thread/process runs profile the coordinator side")
+             " while process runs profile the coordinator side")
     profile.set_defaults(rounds=6, executions=200, backend="serial")
     profile.add_argument("--guidance", action="store_true")
     profile.add_argument("--no-fixing", action="store_true")
@@ -334,7 +331,6 @@ def _run_platform(args, fixing: bool = True, tracing: bool = False):
         seed=args.seed,
         backend=getattr(args, "backend", "auto"),
         workers=getattr(args, "workers", 0),
-        batch_max_traces=getattr(args, "batch_traces", 0),
         chaos_profile=getattr(args, "chaos", "none"),
         check_invariants=getattr(args, "check_invariants", False),
         solver_cache=getattr(args, "solver_cache", "none"),
@@ -415,7 +411,6 @@ def _cmd_serve(args) -> int:
         balance=args.balance,
         backend=args.backend,
         workers=args.workers,
-        batch_max_traces=args.batch_traces,
         chaos_profile=args.chaos,
         solver_cache=args.solver_cache,
         enable_proofs=False,

@@ -2,14 +2,10 @@
 
 The platform plans a round (all coordinator randomness, serialized),
 hands the plan to an :class:`ExecutorBackend`, and gets back per-shard
-:class:`ShardResult` lists. Three implementations:
+:class:`ShardResult` lists. Two implementations:
 
 * :class:`SerialBackend` — one in-process shard over every pod; the
   historical behaviour and the default.
-* :class:`ThreadBackend` — pods partitioned into per-thread shards.
-  Python threads only overlap during I/O or C-level work, so this
-  backend is mostly a stepping stone / GIL-contention testbed; results
-  are still bit-identical.
 * :class:`ProcessBackend` — pods partitioned across long-lived worker
   processes (one :class:`~repro.exec.shard.Shard` each), speaking the
   **session protocol** (``repro.exec.session``): full state crosses
@@ -19,9 +15,9 @@ hands the plan to an :class:`ExecutorBackend`, and gets back per-shard
 
 Every backend is a context manager (``with make_backend(...) as b:``)
 whose exit calls the idempotent :meth:`close`, and every backend feeds
-``repro.obs``: round execute latency, batch count/size/bytes, per-shard
-busy seconds, and worker utilization (busy / round wall-clock, the
-parallel-efficiency signal).
+``repro.obs``: round execute latency, per-shard busy seconds, and
+worker utilization (busy / round wall-clock, the parallel-efficiency
+signal).
 
 Coordinator-side state changes go through one door:
 :meth:`publish` takes a :class:`~repro.exec.session.SyncDelta` (hive
@@ -40,7 +36,7 @@ from typing import Dict, List, Optional, Protocol, Sequence
 
 from repro.errors import ConfigError
 from repro.exec.batch import ShardResult
-from repro.exec.plan import PlannedRun, RoundPlan, partition_runs
+from repro.exec.plan import RoundPlan, partition_runs
 from repro.exec.session import (
     SessionLog, SyncDelta, pack_runs, pack_result, unpack_result,
     unpack_runs,
@@ -54,11 +50,11 @@ from repro.progmodel.ir import Program
 
 __all__ = [
     "BACKEND_NAMES", "ExecutorBackend", "SyncDelta",
-    "SerialBackend", "ThreadBackend", "ProcessBackend",
+    "SerialBackend", "ProcessBackend",
     "make_backend", "resolve_backend_name", "resolve_workers",
 ]
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 _ENV_BACKEND = "REPRO_BACKEND"
 
@@ -136,13 +132,7 @@ class _BackendBase(Instrumented):
         self._tracer = get_tracer()
         self._obs_rounds = self.obs_counter("rounds")
         self._obs_publishes = self.obs_counter("publishes")
-        self._obs_batches = self.obs_counter("batches")
-        self._obs_traces = self.obs_counter("batched_traces")
         self._obs_round_time = self.obs_timer("round_execute")
-        self._obs_batch_traces = self.obs_histogram("batch_traces",
-                                                    unit="traces")
-        self._obs_batch_bytes = self.obs_histogram("batch_bytes",
-                                                   unit="bytes")
         # Wall-clock-derived distributions register as timers: the
         # snapshot contract is that histogram values reproduce exactly
         # under a fixed seed while timers may vary run to run.
@@ -195,12 +185,6 @@ class _BackendBase(Instrumented):
             self._obs_busy.observe(result.busy_seconds)
             self._obs_utilization.observe(
                 min(result.busy_seconds / wall, 1.0))
-            for batch in result.batches:
-                self._obs_batches.inc()
-                self._obs_traces.inc(len(batch))
-                self._obs_batch_traces.observe(len(batch))
-                self._obs_batch_bytes.observe(
-                    sum(len(entry.payload) for entry in batch.entries))
         return results
 
     def _run_round(self, plan: RoundPlan, ctx=None) -> List[ShardResult]:
@@ -226,13 +210,11 @@ class SerialBackend(_BackendBase):
 
     def __init__(self, pods: Sequence[Pod], hive_program: Program,
                  limits: Optional[ExecutionLimits] = None,
-                 dedup: bool = False, batch_max_traces: int = 0,
-                 workers: int = 1, solver_cache: bool = False,
+                 dedup: bool = False, solver_cache: bool = False,
                  replay_products: bool = True):
         super().__init__(workers=1)
         self._shard = Shard(0, dict(enumerate(pods)), hive_program,
                             limits=limits, dedup=dedup,
-                            batch_max_traces=batch_max_traces,
                             solver_cache=self._shard_cache(solver_cache),
                             replay_products=replay_products)
 
@@ -241,55 +223,6 @@ class SerialBackend(_BackendBase):
 
     def _publish(self, delta: SyncDelta) -> None:
         self._shard.apply_sync(delta)
-
-
-class ThreadBackend(_BackendBase):
-    """Per-thread shards over the coordinator's own pod objects."""
-
-    name = "thread"
-
-    def __init__(self, pods: Sequence[Pod], hive_program: Program,
-                 limits: Optional[ExecutionLimits] = None,
-                 dedup: bool = False, batch_max_traces: int = 0,
-                 workers: int = 2, solver_cache: bool = False,
-                 replay_products: bool = True):
-        super().__init__(workers=workers)
-        self._shards: List[Shard] = []
-        for shard_id in range(workers):
-            members = {index: pod for index, pod in enumerate(pods)
-                       if index % workers == shard_id}
-            # Caches are per-shard (thread-private); sharing happens
-            # only through the hive's canonical merge between rounds.
-            self._shards.append(Shard(
-                shard_id, members, hive_program, limits=limits,
-                dedup=dedup, batch_max_traces=batch_max_traces,
-                solver_cache=self._shard_cache(solver_cache),
-                replay_products=replay_products))
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-exec")
-        return self._pool
-
-    def _run_round(self, plan: RoundPlan, ctx=None) -> List[ShardResult]:
-        pool = self._ensure_pool()
-        slices = partition_runs(plan.runs, self.workers)
-        futures = [pool.submit(shard.run_shard, runs, ctx)
-                   for shard, runs in zip(self._shards, slices)]
-        return [future.result() for future in futures]
-
-    def _publish(self, delta: SyncDelta) -> None:
-        for shard in self._shards:
-            shard.apply_sync(delta)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class ProcessBackend(_BackendBase):
@@ -317,8 +250,8 @@ class ProcessBackend(_BackendBase):
     def __init__(self, pod_specs: Sequence[tuple], hive_program: Program,
                  capture, limits: Optional[ExecutionLimits] = None,
                  fault_rate: float = 0.0,
-                 dedup: bool = False, batch_max_traces: int = 0,
-                 workers: int = 2, solver_cache: bool = False,
+                 dedup: bool = False, workers: int = 2,
+                 solver_cache: bool = False,
                  replay_products: bool = True):
         super().__init__(workers=workers)
         from repro.progmodel.serialize import encode_program
@@ -328,7 +261,6 @@ class ProcessBackend(_BackendBase):
         self._limits = limits or ExecutionLimits()
         self._fault_rate = fault_rate
         self._dedup = dedup
-        self._batch_max_traces = batch_max_traces
         self._solver_cache = solver_cache
         self._replay_products = replay_products
         self._procs: List = []
@@ -360,7 +292,7 @@ class ProcessBackend(_BackendBase):
             target=_process_worker_main,
             args=(child_conn, shard_id, specs, self._program_blob,
                   self._capture, self._limits, self._fault_rate,
-                  self._dedup, self._batch_max_traces,
+                  self._dedup,
                   # (enabled, clock): enough for the worker to build an
                   # equivalent tracer. The clock must be picklable —
                   # builtins and FixedClock are.
@@ -524,12 +456,9 @@ class ProcessBackend(_BackendBase):
 
 
 def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
-                         capture, limits, fault_rate: float,
-                         dedup: bool, batch_max_traces: int,
-                         tracer_spec=(False, None),
-                         solver_cache: bool = False,
-                         replay_products: bool = True,
-                         session=(0, (), ())) -> None:
+                         capture, limits, fault_rate: float, dedup: bool,
+                         tracer_spec, solver_cache: bool,
+                         replay_products: bool, session) -> None:
     """Worker entry point: rebuild the shard, replay the session log,
     serve round requests at the session's epoch."""
     import traceback
@@ -559,7 +488,7 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
             for global_index, pod_id, seed in specs
         }
         shard = Shard(shard_id, pods, program, limits=limits,
-                      dedup=dedup, batch_max_traces=batch_max_traces,
+                      dedup=dedup,
                       solver_cache=_BackendBase._shard_cache(solver_cache),
                       replay_products=replay_products)
         # Epoch replay: everything published since the session opened,
@@ -578,12 +507,13 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
     last_totals: Dict[str, int] = {}
 
     def counter_deltas() -> Dict[str, int]:
-        totals = get_registry().snapshot()["counters"]
-        deltas = {name: value - last_totals.get(name, 0)
-                  for name, value in totals.items()
-                  if value != last_totals.get(name, 0)}
-        last_totals.clear()
-        last_totals.update(totals)
+        # Counter values only: a full registry snapshot would also sort
+        # every histogram and timer window, on every reply.
+        deltas = {}
+        for name, value in get_registry().counter_values().items():
+            if value != last_totals.get(name, 0):
+                deltas[name] = value - last_totals.get(name, 0)
+                last_totals[name] = value
         return deltas
 
     while True:
@@ -598,8 +528,7 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                     raise RuntimeError(
                         f"shard {shard_id} at epoch {epoch} received a"
                         f" round stamped epoch {message[1]}")
-                ctx = message[3] if len(message) > 3 else None
-                result = shard.run_shard(unpack_runs(message[2]), ctx)
+                result = shard.run_shard(unpack_runs(message[2]), message[3])
                 conn.send(("ok", pack_result(result), counter_deltas()))
             elif kind == "publish":
                 epoch, hive_blob, rollout, cache = message[1:5]
@@ -629,7 +558,6 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
 def make_backend(name: str, pods: Sequence[Pod], hive_program: Program,
                  *, capture=None, limits: Optional[ExecutionLimits] = None,
                  fault_rate: float = 0.0, dedup: bool = False,
-                 batch_max_traces: int = 0,
                  workers: int = 0,
                  solver_cache: str = "none",
                  replay_products: bool = True) -> ExecutorBackend:
@@ -647,23 +575,13 @@ def make_backend(name: str, pods: Sequence[Pod], hive_program: Program,
     recycle = solver_cache == "collective"
     if name == "serial":
         return SerialBackend(pods, hive_program, limits=limits,
-                             dedup=dedup,
-                             batch_max_traces=batch_max_traces,
-                             solver_cache=recycle,
-                             replay_products=replay_products)
-    if name == "thread":
-        return ThreadBackend(pods, hive_program, limits=limits,
-                             dedup=dedup,
-                             batch_max_traces=batch_max_traces,
-                             workers=workers, solver_cache=recycle,
+                             dedup=dedup, solver_cache=recycle,
                              replay_products=replay_products)
     if name == "process":
         specs = [(index, pod.pod_id, pod.seed)
                  for index, pod in enumerate(pods)]
         return ProcessBackend(specs, hive_program, capture,
                               limits=limits, fault_rate=fault_rate,
-                              dedup=dedup,
-                              batch_max_traces=batch_max_traces,
-                              workers=workers, solver_cache=recycle,
+                              dedup=dedup, workers=workers, solver_cache=recycle,
                               replay_products=replay_products)
     raise ConfigError(f"unknown backend {name!r}")

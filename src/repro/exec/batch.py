@@ -1,11 +1,10 @@
-"""Batched trace shipping: what shards hand the hive each round.
+"""What shards hand the hive each round, and the trace wire frame.
 
-Pods historically shipped one trace per execution. At fleet scale the
-per-message overhead dominates, so the executor accumulates traces into
-:class:`TraceBatch` objects — each entry a ``tracing.encode`` payload
-tagged with its global execution index — and flushes per round (or
-every ``batch_max_traces``). Shards attach two aggregates so the hive
-can skip work it would otherwise redo serially:
+A shard returns one :class:`ShardResult` per round: its run records and
+one :class:`BatchEntry` per shipped execution, in global-index order —
+each entry a ``tracing.encode`` payload (or a dedup heartbeat) tagged
+with its global execution index. Shards attach two aggregates so the
+hive can skip work it would otherwise redo serially:
 
 * per-entry :class:`ReplayProduct` — the decision path and analysis
   by-products the shard already reconstructed by replaying the trace,
@@ -15,10 +14,12 @@ can skip work it would otherwise redo serially:
 * the round's execution-tree increment, as ``(path, outcome, count)``
   edge rows on :attr:`ShardResult.tree_delta`.
 
-The wire format (``encode_batch``/``decode_batch``) covers only what
-crosses the simulated Internet — indices and trace payloads; products
-and trees ride the coordinator/worker channel, which models a hive-side
-shard, not a pod uplink.
+:class:`TraceBatch` is the frame that crosses the simulated pod uplink
+(the serve pump, the chaos wire, the networked platform's batched
+uplink). Its wire format (``encode_batch``/``decode_batch``) covers
+only indices and trace payloads; products and trees ride the
+coordinator/worker channel, which models a hive-side shard, not a pod
+uplink.
 """
 
 from __future__ import annotations
@@ -99,12 +100,12 @@ class BatchEntry:
 
 @dataclass
 class TraceBatch:
-    """One shard's flush: entries in global-index order."""
+    """One uplink frame: entries in global-index order."""
 
     shard_id: int
     program_name: str
     program_version: int              # hive version shards replayed on
-    sequence: int = 0                 # flush number within the round
+    sequence: int = 0                 # frame number within the stream
     entries: List[BatchEntry] = field(default_factory=list)
     #: Sender-side trace context (rides the wire in format v3) so the
     #: receiver's ingest span can parent under the sender's span.
@@ -124,7 +125,9 @@ class ShardResult:
 
     shard_id: int
     records: List[RunRecord] = field(default_factory=list)
-    batches: List[TraceBatch] = field(default_factory=list)
+    #: Shipped entries (trace payloads and heartbeats), in global-index
+    #: order.
+    entries: List[BatchEntry] = field(default_factory=list)
     busy_seconds: float = 0.0
     #: Worker-side trace spans (``repro.obs.trace``), shipped back
     #: alongside the counter deltas and grafted into the coordinator's
@@ -149,11 +152,11 @@ class ShardResult:
 
 # -- wire encoding ------------------------------------------------------------
 
-# Encode buffers are pooled: a flush-heavy round encodes thousands of
+# Encode buffers are pooled: a frame-heavy run (a small chaos
+# ``frame_traces``, a one-trace-per-message uplink) encodes thousands of
 # frames, and reusing a grown bytearray skips both the allocation and
-# the progressive reallocation as the frame fills. list.pop/append are
-# atomic under the GIL, so the thread backend's shards share the pool
-# safely; a miss just allocates.
+# the progressive reallocation as the frame fills. A miss just
+# allocates.
 _BUFFER_POOL: List[bytearray] = []
 _BUFFER_POOL_MAX = 8
 
@@ -271,11 +274,11 @@ def decode_batch(data) -> TraceBatch:
 
 class BatchAccumulator:
     """A :class:`~repro.interfaces.TraceSource`: buffers traces and
-    releases :class:`TraceBatch` flushes.
+    releases :class:`TraceBatch` frames.
 
-    ``max_traces`` caps entries per batch (0 = unbounded, one batch per
-    drain); used by networked pods to trade uplink messages for
-    ingestion latency and by shard collectors for intra-round flushes.
+    ``max_traces`` caps entries per frame (0 = unbounded, one frame per
+    drain); the networked platform's uplink uses it to trade uplink
+    messages for ingestion latency.
     """
 
     def __init__(self, shard_id: int, program_name: str,

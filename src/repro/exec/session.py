@@ -27,12 +27,10 @@ whole reason the process backend wins on this host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.batch import (
-    BatchEntry, ReplayProduct, RunRecord, ShardResult, TraceBatch,
-)
+from repro.exec.batch import BatchEntry, ReplayProduct, RunRecord, ShardResult
 from repro.exec.plan import PlannedRun
 from repro.progmodel.interpreter import Outcome
 from repro.progmodel.ir import Program
@@ -186,29 +184,22 @@ def pack_result(result: ShardResult) -> tuple:
 
     products: List[ReplayProduct] = []
     product_index: Dict[int, int] = {}
-    batch_rows: List[tuple] = []
-    for batch in result.batches:
-        entry_rows: List[tuple] = []
-        for entry in batch.entries:
-            if entry.heartbeat is not None:
-                entry_rows.append((entry.global_index, None,
-                                   entry.heartbeat, -1))
-                continue
-            slot = -1
-            product = entry.product
-            if product is not None:
-                slot = _intern(products, product_index, id(product),
-                               product)
-            entry_rows.append((entry.global_index, entry.payload,
-                               None, slot))
-        batch_rows.append((batch.sequence, batch.program_name,
-                           batch.program_version, batch.trace_context,
-                           entry_rows))
+    entry_rows: List[tuple] = []
+    for entry in result.entries:
+        if entry.heartbeat is not None:
+            entry_rows.append((entry.global_index, None,
+                               entry.heartbeat, -1))
+            continue
+        slot = -1
+        product = entry.product
+        if product is not None:
+            slot = _intern(products, product_index, id(product), product)
+        entry_rows.append((entry.global_index, entry.payload, None, slot))
 
     return (
         result.shard_id,
         (outcomes, record_rows, failures),
-        (products, batch_rows),
+        (products, entry_rows),
         result.tree_version,
         list(result.tree_delta),
         result.busy_seconds,
@@ -220,7 +211,7 @@ def pack_result(result: ShardResult) -> tuple:
 @total_decoder("packed shard result")
 def unpack_result(packed: tuple) -> ShardResult:
     (shard_id, (outcomes, record_rows, failures),
-     (products, batch_rows), tree_version, tree_delta,
+     (products, entry_rows), tree_version, tree_delta,
      busy_seconds, spans, cache_delta) = packed
     outcome_table = [Outcome(value) for value in outcomes]
     records: List[RunRecord] = []
@@ -235,19 +226,14 @@ def unpack_result(packed: tuple) -> ShardResult:
             failure_message=message,
             failure_block=block,
         ))
-    batches: List[TraceBatch] = []
-    for sequence, name, version, context, entry_rows in batch_rows:
-        entries = [
-            BatchEntry(global_index=gi, payload=payload or b"",
-                       heartbeat=heartbeat,
-                       product=products[slot] if slot >= 0 else None)
-            for gi, payload, heartbeat, slot in entry_rows
-        ]
-        batches.append(TraceBatch(
-            shard_id=shard_id, program_name=name, program_version=version,
-            sequence=sequence, entries=entries, trace_context=context))
+    entries = [
+        BatchEntry(global_index=gi, payload=payload or b"",
+                   heartbeat=heartbeat,
+                   product=products[slot] if slot >= 0 else None)
+        for gi, payload, heartbeat, slot in entry_rows
+    ]
     return ShardResult(
-        shard_id=shard_id, records=records, batches=batches,
+        shard_id=shard_id, records=records, entries=entries,
         busy_seconds=busy_seconds, spans=spans, cache_delta=cache_delta,
         tree_version=tree_version, tree_delta=tree_delta,
     )

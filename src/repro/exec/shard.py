@@ -4,11 +4,11 @@ One :class:`Shard` owns a fixed subset of pods and mirrors, locally,
 the hive-side work that used to be serial: it executes its planned
 runs, deduplicates per pod, replays replayable version-current traces
 into execution-tree *edge deltas* (``(path, outcome, count)`` rows in
-``ShardResult.tree_delta``), and packages everything into
-:class:`TraceBatch` flushes with per-entry :class:`ReplayProduct`
-aggregates. The same class backs all three executor backends — inline
-(serial), one-per-thread, and one-per-worker-process — which is what
-makes backend choice invisible to results.
+``ShardResult.tree_delta``), and returns its shipped entries, in
+global-index order, with per-entry :class:`ReplayProduct` aggregates.
+The same class backs both executor backends — inline (serial) and
+one-per-worker-process — which is what makes backend choice invisible
+to results.
 
 Determinism contract: a shard processes its runs in global-index order,
 so each pod's RNG stream and dedup state advance exactly as under the
@@ -25,9 +25,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.exec.batch import (
-    BatchAccumulator, BatchEntry, ReplayProduct, RunRecord, ShardResult,
-)
+from repro.exec.batch import BatchEntry, ReplayProduct, RunRecord, ShardResult
 from repro.exec.plan import PlannedRun
 from repro.exec.replay import ReplayMemo, RunMemo
 from repro.obs.trace import NULL_SPAN, SpanContext, get_tracer
@@ -48,8 +46,6 @@ class Shard:
                  hive_program: Program,
                  limits: Optional[ExecutionLimits] = None,
                  dedup: bool = False,
-                 batch_max_traces: int = 0,
-                 collect_tree: bool = True,
                  solver_cache=None,
                  replay_products: bool = True):
         self.shard_id = shard_id
@@ -59,8 +55,6 @@ class Shard:
         self._replays = ReplayMemo(hive_program, self.limits)
         # Pure natural pod runs, served again without interpreting.
         self._runs = RunMemo()
-        self.batch_max_traces = batch_max_traces
-        self.collect_tree = collect_tree
         # Service mode turns shard-side replay off: products never
         # survive the pump's re-framed wire, so building them is pure
         # waste there — unless collective recycling mines them.
@@ -68,7 +62,7 @@ class Shard:
         # Collective constraint recycling: a private ConstraintCache the
         # shard fills with SAT facts mined from its replayed traces (a
         # concrete run *is* a model of its own path condition). Private
-        # per shard — no cross-thread mutation — with the round delta
+        # per shard, with the round delta
         # shipped back in ShardResult for the hive's canonical merge.
         self.solver_cache = solver_cache
         self._recycle_engine = None
@@ -139,15 +133,13 @@ class Shard:
         # the hot loop allocates no span handles, no kwargs dicts, and
         # the result carries an empty tuple across the worker pipe.
         tracing = recorder.enabled
-        accumulator = BatchAccumulator(
-            self.shard_id, self.hive_program.name,
-            self.hive_program.version, max_traces=self.batch_max_traces)
         # Tree evidence accumulates as (path, outcome) -> count edge
         # rows, not as an ExecutionTree: the delta is what crosses the
         # worker pipe, and counted-insert merging hive-side reproduces
         # the exact tree the old partial-tree blobs built.
-        edges: Dict = {} if self.collect_tree else None
+        edges: Dict = {}
         records: List[RunRecord] = []
+        entries: List[BatchEntry] = []
         for planned in runs:
             pod = self.pods[planned.pod_index]
             span = recorder.span("pod.run", key=planned.global_index,
@@ -196,25 +188,22 @@ class Shard:
                     continue                   # lost on the wire
                 entry = self._collect(planned.global_index, trace, edges,
                                       recorder, tracing)
-                if entry is not None:
-                    accumulator.add(entry)
-                    if entry.product is not None:
-                        self._recycle(entry.product.path_decisions,
-                                      planned.inputs, recorder,
-                                      planned.global_index)
-        batches = list(accumulator.drain_batches())
+                entries.append(entry)
+                if entry.product is not None:
+                    self._recycle(entry.product.path_decisions,
+                                  planned.inputs, recorder,
+                                  planned.global_index)
         return ShardResult(
             shard_id=self.shard_id,
             records=records,
-            batches=batches,
+            entries=entries,
             busy_seconds=time.perf_counter() - started,
             spans=recorder.take(),
             cache_delta=(self.solver_cache.export_delta()
                          if self.solver_cache is not None else []),
             tree_version=self.hive_program.version,
             tree_delta=[(path, outcome, count)
-                        for (path, outcome), count in edges.items()]
-            if edges else [],
+                        for (path, outcome), count in edges.items()],
         )
 
     # -- constraint recycling --------------------------------------------------
@@ -242,9 +231,8 @@ class Shard:
 
     # -- collection -----------------------------------------------------------
 
-    def _collect(self, global_index: int, trace: Trace,
-                 edges: Optional[Dict],
-                 recorder, tracing: bool = True) -> Optional[BatchEntry]:
+    def _collect(self, global_index: int, trace: Trace, edges: Dict,
+                 recorder, tracing: bool = True) -> BatchEntry:
         if self._dedup:
             shipped, heartbeat = self._dedup[trace.pod_id].submit(trace)
             if shipped is None:
@@ -263,7 +251,7 @@ class Shard:
         return entry
 
     def _replay(self, trace: Trace,
-                edges: Optional[Dict]) -> Optional[ReplayProduct]:
+                edges: Dict) -> Optional[ReplayProduct]:
         """The hive's replay, done shard-locally.
 
         Only replayable traces for the hive's current version qualify;
@@ -279,7 +267,6 @@ class Shard:
         product = self._replays.replay(trace)
         if product is None:
             return None                        # hive will count the failure
-        if edges is not None:
-            key = (product.path_decisions, product.outcome)
-            edges[key] = edges.get(key, 0) + 1
+        key = (product.path_decisions, product.outcome)
+        edges[key] = edges.get(key, 0) + 1
         return product

@@ -251,10 +251,13 @@ class Hive(Instrumented):
             product.path_decisions, product.outcome)
 
     def ingest_batch(self, batches, tree_deltas=None) -> int:
-        """Fold a round's worth of shard :class:`TraceBatch` flushes.
+        """Fold entries: a round's shard results, or uplink frames.
 
         The :class:`~repro.interfaces.TraceSink` bulk entry point, and
-        the heart of sharded ingest. Two deterministic steps:
+        the heart of sharded ingest. ``batches`` holds anything with
+        ``entries`` — :class:`~repro.exec.batch.ShardResult` for a
+        round's shards, :class:`~repro.exec.batch.TraceBatch` for wire
+        frames. Two deterministic steps:
 
         1. **Tree merge** — ``tree_deltas`` carries each shard's round
            increment as ``(tree_version, rows)`` pairs, rows being
@@ -273,9 +276,8 @@ class Hive(Instrumented):
 
         Returns the number of entries consumed.
         """
-        ordered = sorted(batches, key=lambda b: (b.shard_id, b.sequence))
         entries = sorted(
-            (entry for batch in ordered for entry in batch.entries),
+            (entry for batch in batches for entry in batch.entries),
             key=lambda entry: entry.global_index)
         with self._tracer.span("hive.ingest_batch",
                                key=self._next_seq(),

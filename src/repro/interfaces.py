@@ -8,13 +8,12 @@ collectors.  They all do the same job — accept execution by-products
 and fold them into some aggregate — so they now share two small
 protocols:
 
-* :class:`TraceSink` — accepts traces, heartbeats, and whole
-  :class:`~repro.exec.batch.TraceBatch` rounds.  Implemented by
-  :class:`~repro.hive.hive.Hive` and by the shard-side collectors of
-  ``repro.exec``.
+* :class:`TraceSink` — accepts traces, heartbeats, and batches of
+  entries (uplink :class:`~repro.exec.batch.TraceBatch` frames or a
+  round's shard results).  Implemented by
+  :class:`~repro.hive.hive.Hive`.
 * :class:`TraceSource` — anything that accumulates traces locally and
-  hands them over in batches (pods batching for the wire, shard
-  collectors batching for the hive).
+  hands them over in batches (networked pods batching for the wire).
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ class TraceSink(Protocol):
         """Account a deduplicated repeat of an already-known trace."""
 
     def ingest_batch(self, batches: Sequence["TraceBatch"]) -> int:
-        """Fold a round's worth of shard batches; returns the number of
-        entries (traces + heartbeats) consumed."""
+        """Fold every batch's ``entries`` in global order; returns the
+        number of entries (traces + heartbeats) consumed."""
 
 
 @runtime_checkable

@@ -9,6 +9,8 @@ share lives here; each driver keeps only its policy (round planning
 and staged rollout, or admission, pump and autoscaling):
 
 * :class:`LoopConfig` — the knobs both configs declare, validated once;
+* :data:`SNAPSHOT_SCHEMA_VERSION` — the ``schema_version`` both
+  drivers stamp on their snapshots;
 * :class:`ClosedLoop` — construction of pods, hive, constraint cache
   and backend; the execute step (cache redistribute, ``run_round``,
   cache-delta merge, records in global order); the fix window; and
@@ -38,9 +40,14 @@ from repro.tracing.capture import FullCapture
 from repro.workloads.scenarios import Scenario
 
 __all__ = ["LoopConfig", "ClosedLoop", "build_hive", "check_loop_knobs",
-           "solver_cache_block"]
+           "solver_cache_block", "SNAPSHOT_SCHEMA_VERSION"]
 
 SOLVER_CACHE_MODES = ("none", "local", "collective")
+
+#: Version of the snapshot payloads ``repro run --json`` and
+#: ``repro serve --json`` emit, stamped as ``schema_version`` on both;
+#: docs/API.md keeps the version history.
+SNAPSHOT_SCHEMA_VERSION = 4
 
 
 def check_loop_knobs(config) -> None:
@@ -90,9 +97,8 @@ class LoopConfig(BaseConfig):
     enable_proofs: bool = True
     dedup: bool = False              # pod-side heartbeats for repeats
     seed: int = 0
-    backend: str = "auto"            # serial | thread | process | auto
+    backend: str = "auto"            # serial | process | auto
     workers: int = 0                 # 0 = auto (one worker per core)
-    batch_max_traces: int = 0        # 0 = one flush per shard per round
     chaos_profile: object = "none"   # profile name or FaultProfile
     solver_cache: str = "none"       # none | local | collective
     #: The health plane (repro.obs.health); enabling adds an additive
@@ -105,9 +111,6 @@ class LoopConfig(BaseConfig):
         check_loop_knobs(self)
         resolve_backend_name(self.backend)   # raises on unknown names
         check_non_negative(self.workers, "workers must be >= 0 (0 = auto)")
-        check_non_negative(
-            self.batch_max_traces,
-            "batch_max_traces must be >= 0 (0 = one flush per round)")
 
     def resolved_chaos_profile(self):
         """The validated :class:`~repro.chaos.FaultProfile` in force."""
@@ -171,7 +174,6 @@ class ClosedLoop(Instrumented):
             capture=capture, limits=limits,
             fault_rate=scenario.fault_rate,
             dedup=config.dedup,
-            batch_max_traces=config.batch_max_traces,
             workers=config.workers,
             solver_cache=config.solver_cache,
             replay_products=replay_products)

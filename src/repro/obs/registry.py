@@ -351,6 +351,12 @@ class Registry:
 
     # -- export -------------------------------------------------------------
 
+    def counter_values(self) -> Dict[str, int]:
+        """Every counter's value, in creation order; unlike
+        :meth:`snapshot` it summarizes no distribution."""
+        return {name: metric.value
+                for name, metric in self._counters.items()}
+
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Every metric, name-sorted, as plain JSON-ready dicts."""
         return {

@@ -8,12 +8,12 @@ hive into the paper's feedback cycle, executed in deterministic rounds:
    here, serialized, so the plan is backend-independent
    (``repro.exec.plan``);
 2. an :class:`~repro.exec.backends.ExecutorBackend` executes the plan
-   — inline, across threads, or across worker processes — and ships
-   batched traces plus execution-tree edge deltas back
-   (``--backend {serial,thread,process}``); coordinator-side state
+   — inline or across worker processes — and ships trace entries plus
+   execution-tree edge deltas back
+   (``--backend {serial,process}``); coordinator-side state
    changes (cache redistributions, fix deploys, staged rollouts) reach
    the shards as epoch-stamped ``publish()`` deltas;
-3. the hive folds the shard tree deltas and ingests the batch entries
+3. the hive folds the shard tree deltas and ingests the shipped entries
    in global execution order, analyzes, and — when the evidence
    warrants — synthesizes, validates, and deploys a fix;
 4. the fixed program rolls out to a staged fraction of pods per round;
@@ -40,7 +40,9 @@ from repro.config import (
 from repro.exec.backends import SyncDelta, resolve_workers
 from repro.exec.batch import RunRecord
 from repro.exec.plan import PlannedRun, RoundPlan
-from repro.loop import ClosedLoop, LoopConfig, solver_cache_block
+from repro.loop import (
+    SNAPSHOT_SCHEMA_VERSION, ClosedLoop, LoopConfig, solver_cache_block,
+)
 from repro.metrics.bugdensity import BugDensityTracker
 from repro.metrics.series import Series
 from repro.proofs.proof import Proof
@@ -49,16 +51,7 @@ from repro.tracing.capture import CapturePolicy
 from repro.workloads.scenarios import Scenario
 
 __all__ = ["PlatformConfig", "RoundStats", "PlatformReport",
-           "SoftBorgPlatform", "SNAPSHOT_SCHEMA_VERSION"]
-
-#: Version of the unified snapshot payload (``repro run --json``).
-#: v1 was the unversioned PR-1 shape (config/report/hive/obs); v2 adds
-#: this marker plus the ``execution`` block (backend, workers, batch
-#: knobs); v3 adds the ``observability`` block (obs snapshot, tracing
-#: summary, flight-recorder dumps) while keeping every v2 key — v2
-#: readers keep working unchanged. Documented in docs/API.md and
-#: docs/OBSERVABILITY.md.
-SNAPSHOT_SCHEMA_VERSION = 3
+           "SoftBorgPlatform"]
 
 
 def _default_platform_slos():
@@ -264,10 +257,10 @@ class SoftBorgPlatform(ClosedLoop):
     def snapshot(self) -> Dict[str, object]:
         """Unified platform state: config, report, hive stats, metrics.
 
-        Schema v3: every v2 key is unchanged (``schema_version``, the
-        ``execution`` block, the top-level ``obs`` snapshot — v2
-        readers keep working), plus an ``observability`` block holding
-        the obs snapshot alongside the tracing summary and any
+        Schema v4 (:data:`~repro.loop.SNAPSHOT_SCHEMA_VERSION`):
+        ``schema_version``, the ``execution`` block, the top-level
+        ``obs`` snapshot, and an ``observability`` block holding the
+        obs snapshot alongside the tracing summary and any
         flight-recorder dumps when tracing is on. The ``chaos`` and
         ``invariants`` blocks appear only when those layers are
         enabled, so fault-free snapshots are otherwise unchanged.
@@ -287,9 +280,8 @@ class SoftBorgPlatform(ClosedLoop):
                 "workers": self.backend.workers,
                 # Final session epoch: how many state deltas the
                 # coordinator published. A pure function of the plan,
-                # so backend-invariant (additive key, still schema v3).
+                # so backend-invariant.
                 "epoch": self.backend.epoch,
-                "batch_max_traces": self.config.batch_max_traces,
             },
             "report": self.report.as_dict(),
             "hive": self.hive.stats.as_dict(),
@@ -297,18 +289,15 @@ class SoftBorgPlatform(ClosedLoop):
             "observability": observability,
         }
         if self.solver_cache is not None:
-            # Additive block (still schema v3).
             doc["solver_cache"] = solver_cache_block(
                 self.config.solver_cache, self.hive)
-        # Additive block (still schema v3): the scenario's seeded bugs
+        # The scenario's seeded bugs
         # grouped into registry families, with seen/fixed taken from the
         # density ledger and defect-localization ranks from the final
         # collective tree. The full per-bug scorecard lives behind
         # ``repro registry score`` (docs/REGISTRY.md); this is the
         # platform-side summary in the same family vocabulary.
         doc["scorecard"] = self._scorecard_block()
-        # Additive block (still schema v3): present only when the
-        # health plane is on, so default snapshots are byte-unchanged.
         if self.health is not None:
             doc["health"] = self.health.report()
         if self.chaos is not None:
@@ -410,8 +399,6 @@ class SoftBorgPlatform(ClosedLoop):
         if lost:
             self.report.traces_lost += lost
             self._obs_traces_lost.inc(lost)
-        batches = [batch for result in shard_results
-                   for batch in result.batches]
         with self._tracer.span("round.deliver", key=round_index):
             if self.chaos is not None:
                 # Delivery goes over the chaos wire: entries re-framed
@@ -421,17 +408,18 @@ class SoftBorgPlatform(ClosedLoop):
                 # coordinator.
                 self.chaos.deliver(
                     self.hive,
-                    [entry for batch in batches for entry in batch.entries],
+                    [entry for result in shard_results
+                     for entry in result.entries],
                     round_index, wire=self._account_wire)
             else:
                 from repro.tracing.dedup import Heartbeat
-                for batch in batches:
-                    for entry in batch.entries:
+                for result in shard_results:
+                    for entry in result.entries:
                         self._account_wire(Heartbeat.WIRE_SIZE
                                            if entry.is_heartbeat
                                            else len(entry.payload))
                 self.hive.ingest_batch(
-                    batches,
+                    shard_results,
                     tree_deltas=[(result.tree_version,
                                   result.tree_delta)
                                  for result in shard_results

@@ -15,7 +15,7 @@ trace and cache-delta streams from an elastically scaled pod fleet:
 
 Everything runs on integer virtual-clock ticks: a service run is a
 pure function of (config, seed) and snapshots byte-identically across
-the serial, thread, and process backends.
+the serial and process backends.
 """
 
 from repro.serve.autoscaler import (
@@ -28,7 +28,7 @@ from repro.serve.balance import (
 from repro.serve.control import ControlPlane, FleetEvent, PodPhase, PodRecord
 from repro.serve.pump import IngestPump
 from repro.serve.service import (
-    SERVE_SCHEMA_VERSION, Service, ServiceConfig, ServiceReport, TickStats,
+    Service, ServiceConfig, ServiceReport, TickStats,
 )
 from repro.serve.slos import default_serve_slos
 
@@ -39,5 +39,5 @@ __all__ = [
     "ControlPlane", "FleetEvent", "PodPhase", "PodRecord",
     "IngestPump",
     "Service", "ServiceConfig", "ServiceReport", "TickStats",
-    "SERVE_SCHEMA_VERSION", "default_serve_slos",
+    "default_serve_slos",
 ]

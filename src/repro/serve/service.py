@@ -17,7 +17,7 @@ seed) on every backend:
    :mod:`~repro.serve.balance` policy; admission pauses while the
    ingest pump is pushing back;
 4. **execute** — the admitted micro-plan runs on the ordinary
-   :mod:`repro.exec` backend (serial/thread/process — results are
+   :mod:`repro.exec` backend (serial/process — results are
    bit-identical);
 5. **stream** — the tick's entries are framed onto the wire and
    offered to the bounded :class:`~repro.serve.pump.IngestPump`;
@@ -54,7 +54,7 @@ from repro.errors import ConfigError
 from repro.exec.backends import SyncDelta
 from repro.exec.batch import BatchEntry
 from repro.exec.plan import PlannedRun, RoundPlan
-from repro.loop import ClosedLoop, LoopConfig
+from repro.loop import SNAPSHOT_SCHEMA_VERSION, ClosedLoop, LoopConfig
 from repro.obs.health import TickEvidence
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serve.balance import make_balancer
@@ -62,13 +62,7 @@ from repro.serve.control import ControlPlane
 from repro.serve.pump import IngestPump
 from repro.workloads.scenarios import Scenario
 
-__all__ = ["ServiceConfig", "TickStats", "ServiceReport", "Service",
-           "SERVE_SCHEMA_VERSION"]
-
-#: Version of the ``repro serve --json`` snapshot payload.
-#: v2: additive ``health`` block (the health plane), ``max_tick`` /
-#: ``max_tick_stats`` inside ``ingest_lag``, pump ``frames_enqueued``.
-SERVE_SCHEMA_VERSION = 2
+__all__ = ["ServiceConfig", "TickStats", "ServiceReport", "Service"]
 
 
 @dataclass
@@ -385,9 +379,7 @@ class Service(ClosedLoop):
                 if self.health is not None and record.has_failure:
                     self._bugs_seen.add(self._attribute(record))
             entries = sorted(
-                (entry for result in results
-                 for batch in result.batches
-                 for entry in batch.entries),
+                (entry for result in results for entry in result.entries),
                 key=lambda entry: entry.global_index)
         self._obs_executed.inc(executed)
         self._obs_failures.inc(failures)
@@ -587,7 +579,7 @@ class Service(ClosedLoop):
             (stats.as_dict() for stats in self.report.ticks
              if stats.tick == max_lag_tick), None)
         return {
-            "serve_schema_version": SERVE_SCHEMA_VERSION,
+            "schema_version": SNAPSHOT_SCHEMA_VERSION,
             "config": self.config.as_dict(),
             "execution": {
                 "backend_workers": self.backend.workers,

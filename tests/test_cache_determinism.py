@@ -1,5 +1,5 @@
-"""Cache determinism grid: with the collective constraint cache on,
-serial, thread, and process backends must converge to bit-identical
+"""Cache determinism grid: with the collective constraint cache on, the
+serial and process backends must converge to bit-identical
 reports, hive state, cache contents, and solver accounting — including
 under chaos fault profiles. Sharing is only legal because the merge
 order is canonical; this grid is the proof."""
@@ -13,13 +13,14 @@ from repro.workloads.scenarios import crash_scenario
 
 pytestmark = pytest.mark.slow
 
-BACKENDS = ("serial", "thread", "process")
+#: (backend, workers) legs; the first is the baseline.
+LEGS = (("serial", 1), ("process", 2))
 
 ROUNDS = 4
 EXECUTIONS = 20
 
 
-def _run(backend, seed=3, mode="collective", profile="none"):
+def _run(backend, seed=3, mode="collective", profile="none", workers=2):
     previous = obs.set_registry(Registry())
     try:
         platform = SoftBorgPlatform(
@@ -27,7 +28,7 @@ def _run(backend, seed=3, mode="collective", profile="none"):
             PlatformConfig(
                 rounds=ROUNDS, executions_per_round=EXECUTIONS,
                 seed=seed, enable_proofs=False, backend=backend,
-                workers=2, chaos_profile=profile, solver_cache=mode))
+                workers=workers, chaos_profile=profile, solver_cache=mode))
         report = platform.run()
         cache = platform.solver_cache
         fingerprint = {
@@ -51,20 +52,28 @@ class TestCollectiveCacheBitIdentity:
     @pytest.mark.parametrize("mode", ("local", "collective"))
     def test_backends_agree_with_cache_enabled(self, mode):
         baseline = _run("serial", mode=mode)
-        for backend in BACKENDS[1:]:
-            assert _run(backend, mode=mode) == baseline, \
-                f"{backend} diverged from serial with {mode} cache"
+        for backend, workers in LEGS[1:]:
+            assert _run(backend, mode=mode, workers=workers) == baseline, \
+                f"{backend}-{workers} diverged from serial with {mode} cache"
 
     @pytest.mark.parametrize("profile", ("lossy-workers", "flaky-hive"))
     def test_backends_agree_under_chaos(self, profile):
         baseline = _run("serial", profile=profile)
-        for backend in BACKENDS[1:]:
-            assert _run(backend, profile=profile) == baseline, \
-                f"{backend} diverged from serial under {profile}" \
-                f" with collective cache"
+        for backend, workers in LEGS[1:]:
+            assert _run(backend, profile=profile, workers=workers) \
+                == baseline, \
+                f"{backend}-{workers} diverged from serial under" \
+                f" {profile} with collective cache"
 
     def test_repeat_run_is_identical(self):
         assert _run("serial") == _run("serial")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a shard recycles the witness of its own first run of each"
+        " decision path, so from three shards on the banked SAT"
+        " witnesses (not the verdicts or counts) differ from serial's"))
+    def test_three_workers_bank_the_serial_witnesses(self):
+        assert _run("process", workers=3) == _run("serial")
 
 
 class TestCacheNeverChangesVerdicts:

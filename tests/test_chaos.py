@@ -257,7 +257,7 @@ class TestNoopDefault:
         doc = platform.snapshot()
         assert "chaos" not in doc
         assert "invariants" not in doc
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
 
     def test_check_invariants_without_chaos(self):
         platform = _platform("none", rounds=2, executions=8,

@@ -1,6 +1,6 @@
-"""Chaos determinism grid: for every (seed, fault profile), serial,
-thread, and process backends must produce bit-identical reports, chaos
-summaries, and hive state — and a fault-free plan must match the
+"""Chaos determinism grid: for every (seed, fault profile), the serial
+backend and the process backend at two and three workers must produce
+bit-identical reports, chaos summaries, and hive state — and a fault-free plan must match the
 serial no-chaos baseline (modulo wire framing)."""
 
 import pytest
@@ -13,7 +13,8 @@ from repro.workloads.scenarios import crash_scenario
 
 pytestmark = pytest.mark.slow
 
-BACKENDS = ("serial", "thread", "process")
+#: (backend, workers) legs; the first is the baseline.
+LEGS = (("serial", 1), ("process", 2), ("process", 3))
 PROFILES = ("lossy-workers", "flaky-hive")
 SEEDS = (3, 11)
 
@@ -21,7 +22,7 @@ ROUNDS = 4
 EXECUTIONS = 20
 
 
-def _run(profile, seed, backend):
+def _run(profile, seed, backend, workers=2):
     previous = obs.set_registry(Registry())
     try:
         platform = SoftBorgPlatform(
@@ -29,7 +30,7 @@ def _run(profile, seed, backend):
             PlatformConfig(
                 rounds=ROUNDS, executions_per_round=EXECUTIONS,
                 seed=seed, enable_proofs=False, backend=backend,
-                workers=2, chaos_profile=profile))
+                workers=workers, chaos_profile=profile))
         report = platform.run()
         fingerprint = {
             "report": report.as_dict(),
@@ -49,10 +50,10 @@ class TestCrossBackendBitIdentity:
     @pytest.mark.parametrize("profile", PROFILES)
     def test_same_seed_same_faults_same_report(self, profile, seed):
         _baseline_platform, baseline = _run(profile, seed, "serial")
-        for backend in BACKENDS[1:]:
-            _platform, fingerprint = _run(profile, seed, backend)
+        for backend, workers in LEGS[1:]:
+            _platform, fingerprint = _run(profile, seed, backend, workers)
             assert fingerprint == baseline, \
-                f"{backend} diverged from serial under {profile}"
+                f"{backend}-{workers} diverged from serial under {profile}"
 
     def test_epoch_replay_composes_with_worker_death(self):
         # lossy-workers kills shards in rounds where fix deploys and
@@ -64,8 +65,9 @@ class TestCrossBackendBitIdentity:
         assert serial_p.backend.epoch > 0, \
             "workload published nothing; the replay path was not exercised"
         assert serial_p.chaos.summary()["worker_deaths"] > 0
-        for backend in BACKENDS[1:]:
-            platform, fingerprint = _run("lossy-workers", 3, backend)
+        for backend, workers in LEGS[1:]:
+            platform, fingerprint = _run("lossy-workers", 3, backend,
+                                         workers)
             assert fingerprint == baseline
             assert platform.backend.epoch == serial_p.backend.epoch
 
@@ -124,7 +126,7 @@ class TestCrossBackendSpanDeterminism:
     trace export must be byte-identical across backends at a fixed
     seed under a pinned clock."""
 
-    def _chrome_export(self, backend, profile="none", seed=5):
+    def _chrome_export(self, backend, profile="none", seed=5, workers=2):
         import json
 
         from repro.obs.export import chrome_trace
@@ -139,7 +141,7 @@ class TestCrossBackendSpanDeterminism:
                 PlatformConfig(
                     rounds=ROUNDS, executions_per_round=EXECUTIONS,
                     seed=seed, enable_proofs=False, backend=backend,
-                    workers=2, chaos_profile=profile))
+                    workers=workers, chaos_profile=profile))
             platform.run()
             tracer = obs.get_tracer()
             assert len(tracer.log) > 0
@@ -150,15 +152,16 @@ class TestCrossBackendSpanDeterminism:
 
     def test_chrome_export_identical_across_backends(self):
         baseline = self._chrome_export("serial")
-        for backend in BACKENDS[1:]:
-            assert self._chrome_export(backend) == baseline, \
-                f"{backend} span export diverged from serial"
+        for backend, workers in LEGS[1:]:
+            assert self._chrome_export(backend, workers=workers) \
+                == baseline, \
+                f"{backend}-{workers} span export diverged from serial"
 
     def test_chrome_export_identical_under_chaos(self):
         baseline = self._chrome_export("serial", profile="lossy-workers",
                                        seed=3)
-        for backend in BACKENDS[1:]:
+        for backend, workers in LEGS[1:]:
             exported = self._chrome_export(
-                backend, profile="lossy-workers", seed=3)
+                backend, profile="lossy-workers", seed=3, workers=workers)
             assert exported == baseline, \
-                f"{backend} chaos span export diverged from serial"
+                f"{backend}-{workers} chaos span export diverged from serial"

@@ -36,6 +36,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--profile", "tsunami"])
 
+    def test_removed_thread_backend_and_batch_flag_rejected(self):
+        for argv in (["run", "--backend", "thread"],
+                     ["serve", "--backend", "thread"],
+                     ["run", "--batch-traces", "7"],
+                     ["serve", "--batch-traces", "7"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
     def test_common_flags_defined_once(self):
         # The consolidation contract: every loop command inherits the
         # shared execution flags from common_exec_flags() — uniformly
@@ -48,7 +56,7 @@ class TestParser:
                                ("explore", [])]:
             args = build_parser().parse_args([command] + extra)
             assert args.backend == "auto", command
-            assert args.batch_traces == 0, command
+            assert not hasattr(args, "batch_traces"), command
             assert args.solver_cache == "none", command
             assert hasattr(args, "workers"), command
             assert hasattr(args, "chaos"), command
@@ -92,12 +100,11 @@ class TestCommands:
                      "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["config"]["rounds"] == 5
-        assert doc["execution"]["backend"] in ("serial", "thread",
-                                               "process")
+        assert "batch_max_traces" not in doc["config"]
+        assert doc["execution"]["backend"] in ("serial", "process")
         assert doc["execution"]["workers"] >= 1
-        assert doc["execution"]["batch_max_traces"] == 0
         assert doc["hive"]["traces_ingested"] == doc["obs"]["counters"][
             "hive.traces_ingested"]
         assert doc["report"]["total_executions"] == 200
@@ -115,7 +122,7 @@ class TestCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["execution"] == {"backend": "process", "workers": 2,
-                                    "epoch": 0, "batch_max_traces": 0}
+                                    "epoch": 0}
         assert doc["obs"]["counters"]["exec.rounds"] == 3
         assert "exec.worker_busy" in doc["obs"]["timers"]
 
@@ -294,7 +301,9 @@ class TestCommands:
                      "--snapshot-out", str(snap_path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["serve_schema_version"] == 2
+        assert doc["schema_version"] == 4
+        assert "serve_schema_version" not in doc
+        assert "batch_max_traces" not in doc["config"]
         assert doc["ingest_lag"]["ok"] is True
         assert doc["health"]["ok"] is True
         assert doc["execution"]["population_users"] == 5000
@@ -350,6 +359,6 @@ class TestCommands:
                                                   tmp_path):
         import json
         snap_path = tmp_path / "bare.json"
-        snap_path.write_text(json.dumps({"serve_schema_version": 2,
+        snap_path.write_text(json.dumps({"schema_version": 4,
                                          "health": None}))
         assert main(["health", str(snap_path)]) == 2

@@ -148,8 +148,8 @@ class TestDecodersAreTotal:
     def test_unpack_result(self, live_round):
         _runs, result = live_round
         packed = pack_result(result)
-        assert result.records and result.batches
-        assert any(entry.heartbeat for entry in result.batches[0].entries)
+        assert result.records and result.entries
+        assert any(entry.heartbeat for entry in result.entries)
         assert unpack_result(packed).records == result.records
         assert assert_total(unpack_result, packed, packed_mutants)
 

@@ -11,7 +11,6 @@ def test_expired_mutator_trio_is_gone():
     class keeps the aliases."""
     from repro.exec import backends
     trio = ("set_hive_program", "apply_update", "seed_cache")
-    for cls in (backends.SerialBackend, backends.ThreadBackend,
-                backends.ProcessBackend):
+    for cls in (backends.SerialBackend, backends.ProcessBackend):
         for name in trio:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"

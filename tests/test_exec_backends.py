@@ -152,13 +152,30 @@ def _run(backend, workers=0, **overrides):
 
 
 class TestCrossBackendDeterminism:
-    def test_thread_and_process_match_serial(self):
+    def test_process_matches_serial(self):
         _p, serial = _run("serial")
-        _p, thread = _run("thread", workers=3)
         _p, process = _run("process", workers=3)
         assert serial["total_executions"] == 80
-        assert thread == serial
         assert process == serial
+
+    def test_worker_counters_equal_serial(self):
+        # Workers ship counter deltas back with every reply; summed
+        # over a run they must equal what the serial backend counts
+        # in-process, pod and capture counter by counter.
+        def counters(backend, workers=0):
+            previous = obs.set_registry(Registry())
+            try:
+                _run(backend, workers=workers, rounds=3)
+                values = obs.get_registry().counter_values()
+            finally:
+                obs.set_registry(previous)
+            return {name: value for name, value in values.items()
+                    if name.startswith(("pod.", "capture."))}
+
+        serial = counters("serial")
+        assert serial["pod.executions"] == 60
+        assert any(name.startswith("capture.") for name in serial)
+        assert counters("process", workers=2) == serial
 
     def test_identical_with_dedup_loss_and_guidance(self):
         knobs = dict(dedup=True, trace_loss_rate=0.2, guidance=True,
@@ -176,7 +193,7 @@ class TestCrossBackendDeterminism:
         # The loop still does its job under the parallel backend.
         assert serial["total_failures"] >= 0
 
-    def test_snapshot_carries_schema_v3_execution_block(self):
+    def test_snapshot_carries_schema_v4_execution_block(self):
         from repro.obs import Registry, set_registry
         previous = set_registry(Registry())
         try:
@@ -184,12 +201,12 @@ class TestCrossBackendDeterminism:
             doc = platform.snapshot()
         finally:
             set_registry(previous)
-        assert doc["schema_version"] == 3
-        assert doc["execution"]["backend"] == "process"
-        assert doc["execution"]["workers"] == 2
+        assert doc["schema_version"] == 4
         # The session epoch is plan-driven, hence backend-invariant and
-        # safe to snapshot (additive key; schema version unchanged).
-        assert doc["execution"]["epoch"] == platform.backend.epoch
+        # safe to snapshot.
+        assert doc["execution"] == {"backend": "process", "workers": 2,
+                                    "epoch": platform.backend.epoch}
+        assert "batch_max_traces" not in doc["config"]
         assert "exec.worker_busy" in doc["obs"]["timers"]
         assert doc["obs"]["counters"]["exec.rounds"] == 4
         assert doc["obs"]["counters"]["pod.executions"] == 80
@@ -197,8 +214,27 @@ class TestCrossBackendDeterminism:
 
 class TestBackendResolution:
     def test_explicit_names_pass_through(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert resolve_backend_name(name) == name
+
+    def test_thread_backend_is_gone(self, monkeypatch):
+        with pytest.raises(ConfigError):
+            resolve_backend_name("thread")
+        with pytest.raises(ConfigError):
+            PlatformConfig(backend="thread").validate()
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(ConfigError):
+            resolve_backend_name("auto")
+        with pytest.raises(ConfigError):
+            PlatformConfig(backend="auto").validate()
+
+    def test_batch_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            PlatformConfig(batch_max_traces=7)
+        demo = make_crash_demo()
+        with pytest.raises(TypeError):
+            make_backend("serial", _session_pods(demo.program),
+                         demo.program, batch_max_traces=7)
 
     def test_auto_consults_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -219,8 +255,6 @@ class TestBackendResolution:
         assert resolve_workers(0, "process", 100) == (os.cpu_count() or 1)
         with pytest.raises(ConfigError):
             PlatformConfig(workers=-1).validate()
-        with pytest.raises(ConfigError):
-            PlatformConfig(batch_max_traces=-1).validate()
 
     def test_auto_workers_is_one_per_core(self, monkeypatch):
         # 0 = auto: one worker per core, still capped at the pod count,
@@ -229,7 +263,7 @@ class TestBackendResolution:
         monkeypatch.setattr("repro.exec.backends.os.cpu_count",
                             lambda: 6)
         assert resolve_workers(0, "process", 100) == 6
-        assert resolve_workers(0, "thread", 4) == 4     # pod cap wins
+        assert resolve_workers(0, "process", 4) == 4    # pod cap wins
         monkeypatch.setattr("repro.exec.backends.os.cpu_count",
                             lambda: None)
         assert resolve_workers(0, "process", 100) == 1  # unknown -> 1
@@ -395,7 +429,7 @@ class TestLazySpanShipping:
 
         traced, spans = run("serial", tracing=True)
         assert spans > 0
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             assert run(backend, tracing=False) == (traced, 0), backend
 
 
@@ -426,13 +460,8 @@ class TestSessionWire:
         assert clone.tree_version == result.tree_version
         assert clone.tree_delta == result.tree_delta
         assert clone.busy_seconds == result.busy_seconds
-        assert len(clone.batches) == len(result.batches)
-        for original, copy in zip(result.batches, clone.batches):
-            assert copy.program_version == original.program_version
-            assert [e.payload for e in copy.entries] == \
-                [e.payload for e in original.entries]
-            assert [e.product for e in copy.entries] == \
-                [e.product for e in original.entries]
+        assert len(result.entries) == 6
+        assert clone.entries == result.entries
 
 
 # -- shard-merge algebra -------------------------------------------------------
@@ -623,6 +652,6 @@ class TestIngestSurface:
         results = backend.run_round(plan)
         assert len(results) == 1
         assert len(results[0].records) == 2
-        hive.ingest_batch(results[0].batches)
+        hive.ingest_batch(results)
         assert hive.stats.traces_ingested == 2
         backend.close()

@@ -318,7 +318,7 @@ class TestSnapshotSchemaV3:
 
     def test_v2_keys_survive_and_observability_added(self):
         doc = self._run(tracing=False)
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         # Every v2 reader keeps working: top-level obs is unchanged and
         # mirrored inside the new observability block.
         for key in ("config", "report", "execution", "obs"):

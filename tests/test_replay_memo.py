@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from repro import PlatformConfig, SoftBorgPlatform
 from repro.errors import TraceError
 from repro.exec import replay as replay_module
+from repro.exec.backends import _BackendBase
 from repro.exec.batch import BatchEntry, ReplayProduct, TraceBatch
-from repro.exec.plan import PlannedRun
+from repro.exec.plan import PlannedRun, partition_runs
 from repro.exec.replay import ReplayMemo
 from repro.exec.session import SyncDelta
 from repro.exec.shard import Shard
@@ -121,18 +122,13 @@ def hive_state(hive):
     )
 
 
-def _stripped(batches):
+def _stripped(result):
     """The same entries without shard products: the hive replays them
     itself, as it does for every trace in serve."""
-    return [TraceBatch(shard_id=batch.shard_id,
-                       program_name=batch.program_name,
-                       program_version=batch.program_version,
-                       sequence=batch.sequence,
-                       entries=[BatchEntry(global_index=entry.global_index,
-                                           payload=entry.payload,
-                                           heartbeat=entry.heartbeat)
-                                for entry in batch.entries])
-            for batch in batches]
+    return dataclasses.replace(result, entries=[
+        BatchEntry(global_index=entry.global_index, payload=entry.payload,
+                   heartbeat=entry.heartbeat)
+        for entry in result.entries])
 
 
 def _plan(program, seed, runs=60, pods=3):
@@ -155,14 +151,12 @@ def _run_loop(program, plan, fault_rate, seed, pods=3):
                   hive_program=program, limits=LIMITS)
     result = shard.run_shard(plan)
     hive = Hive(program, limits=LIMITS, enable_proofs=False)
-    hive.ingest_batch(result.batches,
+    hive.ingest_batch([result],
                       tree_deltas=[(result.tree_version,
                                     result.tree_delta)])
-    hive.ingest_batch(_stripped(result.batches))
-    products = [entry.product for batch in result.batches
-                for entry in batch.entries]
-    payloads = [entry.payload for batch in result.batches
-                for entry in batch.entries]
+    hive.ingest_batch([_stripped(result)])
+    products = [entry.product for entry in result.entries]
+    payloads = [entry.payload for entry in result.entries]
     return (result.records, result.tree_delta, products, payloads,
             hive_state(hive))
 
@@ -268,13 +262,36 @@ class TestMemoizedFailure:
         assert hive.bucketer.total_reports == 4
         assert len(calls) == 1
         shard = Shard(0, {}, hive_program=demo.program)
-        assert shard._replay(broken, None) is None
-        assert shard._replay(broken, None) is None
+        assert shard._replay(broken, {}) is None
+        assert shard._replay(broken, {}) is None
+
+
+class _TwoShards(_BackendBase):
+    """Two in-process shards over pods ``index % 2``: a multi-shard
+    round whose replays this process can count."""
+
+    name = "two-shards"
+
+    def __init__(self, pods, hive_program, limits=None, **_options):
+        super().__init__(workers=2)
+        self._shards = [
+            Shard(shard_id, {index: pod for index, pod in enumerate(pods)
+                             if index % 2 == shard_id},
+                  hive_program, limits=limits)
+            for shard_id in range(2)]
+
+    def _run_round(self, plan, ctx=None):
+        return [shard.run_shard(runs, ctx) for shard, runs
+                in zip(self._shards, partition_runs(plan.runs, 2))]
+
+    def _publish(self, delta):
+        for shard in self._shards:
+            shard.apply_sync(delta)
 
 
 class TestFleetReplaysEachKeyOnce:
     @pytest.mark.parametrize("backend, workers", [("serial", 0),
-                                                  ("thread", 2)])
+                                                  ("two-shards", 2)])
     def test_one_replay_per_distinct_key_per_shard(self, monkeypatch,
                                                    backend, workers):
         built = []
@@ -295,11 +312,17 @@ class TestFleetReplaysEachKeyOnce:
 
         monkeypatch.setattr(ReplaySource, "__init__", recording)
         monkeypatch.setattr(Interpreter, "replay", counting)
+        if backend == "two-shards":
+            monkeypatch.setattr(
+                "repro.loop.make_backend",
+                lambda _name, pods, program, limits=None, **_options:
+                _TwoShards(pods, program, limits=limits))
         platform = SoftBorgPlatform(
             crash_scenario(n_users=60, volatility=0.5, seed=4),
             PlatformConfig(n_pods=8, rounds=3, executions_per_round=200,
                            fixing=False, enable_proofs=False, seed=4,
-                           backend=backend, workers=workers))
+                           backend="serial", workers=workers))
+        assert platform.backend.name == backend
         platform.run()
         shards = 1 if backend == "serial" else workers
         assert platform.report.total_executions == 600

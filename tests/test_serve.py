@@ -496,7 +496,7 @@ class TestServeSnapshotV2:
     def test_health_block_default_on_with_schema(self):
         service = self.run_service()
         doc = service.snapshot()
-        assert doc["serve_schema_version"] == 2
+        assert doc["schema_version"] == 4
         health = doc["health"]
         assert health["health_schema_version"] == 1
         assert health["ticks_observed"] == 60

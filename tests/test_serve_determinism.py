@@ -2,8 +2,8 @@
 
 The acceptance bar for ``repro serve``: the JSON snapshot — fleet
 history, scaling trajectory, pump counters, hive stats, per-tick
-rows — is a pure function of (config, seed), so serial, thread, and
-process backends must produce byte-identical documents.
+rows — is a pure function of (config, seed), so the serial and process
+backends must produce byte-identical documents.
 """
 
 import json
@@ -16,13 +16,17 @@ from repro.workloads.scenarios import crash_scenario
 pytestmark = pytest.mark.slow
 
 
-def snapshot_bytes(backend, **overrides):
+def run_service(backend, **overrides):
     config = dict(ticks=40, seed=11, users=2000, enable_proofs=False)
     config.update(overrides)
     service = Service(crash_scenario(seed=config["seed"]),
                       ServiceConfig(backend=backend, **config))
     service.run()
-    doc = service.snapshot()
+    return service
+
+
+def snapshot_bytes(backend, **overrides):
+    doc = run_service(backend, **overrides).snapshot()
     # The substrate identity is the one legitimate difference; blank it
     # so the comparison covers everything that must not vary.
     doc["config"]["backend"] = "normalized"
@@ -32,12 +36,20 @@ def snapshot_bytes(backend, **overrides):
 
 
 class TestServeDeterminism:
-    def test_serial_thread_process_snapshots_identical(self):
+    def test_serial_and_process_snapshots_identical(self):
         serial = snapshot_bytes("serial")
-        thread = snapshot_bytes("thread", workers=3)
-        process = snapshot_bytes("process", workers=2)
-        assert serial == thread
-        assert serial == process
+        assert snapshot_bytes("process", workers=2) == serial
+        assert snapshot_bytes("process", workers=3) == serial
+
+    def test_hive_tree_identical_across_backends(self):
+        # The snapshot holds hive counts only. A tick's entries are
+        # framed in global order whatever the shard count, so the hive
+        # folds the same evidence in the same order: same tree too.
+        def tree(backend, **overrides):
+            hive = run_service(backend, **overrides).hive
+            return hive.tree.canonical_paths(), hive.tree.outcome_totals()
+
+        assert tree("process", workers=3) == tree("serial")
 
     def test_same_seed_same_backend_reproduces(self):
         assert snapshot_bytes("serial") == snapshot_bytes("serial")
@@ -49,12 +61,12 @@ class TestServeDeterminism:
     def test_chaos_run_is_backend_invariant(self):
         serial = snapshot_bytes("serial", chaos_profile="lossy-workers",
                                 seed=7)
-        thread = snapshot_bytes("thread", chaos_profile="lossy-workers",
-                                seed=7, workers=4)
-        assert serial == thread
+        process = snapshot_bytes("process", chaos_profile="lossy-workers",
+                                 seed=7, workers=4)
+        assert serial == process
 
     def test_collective_cache_run_is_backend_invariant(self):
         serial = snapshot_bytes("serial", solver_cache="collective")
-        thread = snapshot_bytes("thread", solver_cache="collective",
-                                workers=3)
-        assert serial == thread
+        process = snapshot_bytes("process", solver_cache="collective",
+                                 workers=3)
+        assert serial == process
